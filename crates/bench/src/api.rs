@@ -25,6 +25,7 @@ use buscoding::predict::trained::ArtifactError;
 use buscoding::{percent_energy_removed, Activity, UnknownScheme, SCHEME_PATTERNS};
 use busprobe::JsonValue;
 use busserve::{Service, ServiceError};
+use bustrace::hash::fnv1a;
 use bustrace::{Trace, Width};
 use wiremodel::{BusEnergyModel, Technology, TechnologyKind, Wire, WireStyle};
 
@@ -905,16 +906,6 @@ impl Service for ApiService {
     }
 }
 
-/// 64-bit FNV-1a — a stable, dependency-free shard key.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn int(v: u64) -> JsonValue {
     JsonValue::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
@@ -1030,6 +1021,21 @@ mod tests {
                 && items.iter().any(|v| matches!(v, JsonValue::Str(s) if s == "window(<entries>)"))),
             "{service_err:?}"
         );
+    }
+
+    #[test]
+    fn hostile_scheme_names_are_unknown_scheme_and_the_service_survives() {
+        let service = ApiService::new(session());
+        for name in ["window(100000000000)", "fcm(2 2^31)", "inversion(7ch l1)"] {
+            let stored = EvalRequest::stored(Workload::Random, vec![name.into()]);
+            let inline = EvalRequest::inline(Width::W32, vec![1, 2, 3], vec![name.into()]);
+            for body in [stored.to_json(), inline.to_json()] {
+                let err = service.handle("eval", &body).expect_err(name);
+                assert_eq!(err.kind, "unknown_scheme", "{name}: {err:?}");
+            }
+        }
+        let body = EvalRequest::stored(Workload::Random, vec!["window(8)".into()]).to_json();
+        service.handle("eval", &body).expect("the next request still succeeds");
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! repro --metrics fig18        # also record instrumentation metrics
 //! repro metrics-check [file]   # validate a metrics.jsonl file
 //! repro profile fig16 ...      # hierarchical trace profile per experiment
-//! repro bench [reps]           # time every experiment, write BENCH_repro.json
-//! repro bench [reps] --check   # compare against the committed baseline
 //! repro eval <file|->          # answer one eval request (JSON in, JSON out)
 //! repro train <corpus>         # fit predictor tables, write trained/<name>-v1.bin
 //! repro serve --socket <path>  # resident daemon over a unix socket
@@ -43,7 +41,8 @@
 //! hierarchical trace recorder on and writes `<out>/trace-<id>.json`
 //! (Chrome trace-event format — load in `chrome://tracing` or
 //! <https://ui.perfetto.dev>) plus `<out>/trace-<id>.folded` (folded
-//! stacks for flamegraph tooling), and prints a per-phase breakdown.
+//! stacks for flamegraph tooling), and prints the largest self-time
+//! spans.
 //! See the profiling section of `docs/OBSERVABILITY.md`.
 //!
 //! `repro eval` and `repro serve` are the two service front ends over
@@ -57,7 +56,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bench::bencheck::{self, CheckConfig, CheckOutcome};
 use bench::experiments::{par_map, registry, Experiment};
 use bench::report::Table;
 use bench::{env_flag, metrics, profile, Session};
@@ -131,55 +129,6 @@ fn main() -> ExitCode {
             println!("{:<22} {}", e.id, e.title);
         }
         return ExitCode::SUCCESS;
-    }
-    if args[0] == "bench" {
-        let mut reps = 1usize;
-        let mut check = false;
-        let mut baseline: Option<std::path::PathBuf> = None;
-        let mut cfg = CheckConfig::default();
-        fn flag_value<'a>(
-            it: &mut std::slice::Iter<'a, String>,
-            flag: &str,
-        ) -> Result<&'a String, String> {
-            it.next()
-                .ok_or_else(|| format!("bench: {flag} needs a value"))
-        }
-        let mut it = args[1..].iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--check" => check = true,
-                "--baseline" => match flag_value(&mut it, "--baseline") {
-                    Ok(v) => baseline = Some(std::path::PathBuf::from(v)),
-                    Err(e) => return usage_error(&e),
-                },
-                "--threshold" => match flag_value(&mut it, "--threshold")
-                    .and_then(|v| v.parse::<f64>().map_err(|e| format!("bench: --threshold: {e}")))
-                {
-                    Ok(v) if v >= 1.0 => cfg.threshold = v,
-                    Ok(v) => return usage_error(&format!("bench: --threshold must be >= 1, got {v}")),
-                    Err(e) => return usage_error(&e),
-                },
-                "--phase-threshold" => match flag_value(&mut it, "--phase-threshold").and_then(|v| {
-                    v.parse::<f64>()
-                        .map_err(|e| format!("bench: --phase-threshold: {e}"))
-                }) {
-                    Ok(v) if v >= 1.0 => cfg.phase_threshold = v,
-                    Ok(v) => {
-                        return usage_error(&format!("bench: --phase-threshold must be >= 1, got {v}"))
-                    }
-                    Err(e) => return usage_error(&e),
-                },
-                other => match other.parse::<usize>() {
-                    Ok(n) if n >= 1 => reps = n,
-                    _ => {
-                        return usage_error(&format!(
-                            "bench: expected reps or a flag, got `{other}`"
-                        ))
-                    }
-                },
-            }
-        }
-        return run_bench(&experiments, reps, check.then_some((baseline, cfg)));
     }
     if args[0] == "profile" {
         return run_profile(&experiments, &args[1..]);
@@ -386,265 +335,6 @@ fn main() -> ExitCode {
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("{msg}");
     ExitCode::FAILURE
-}
-
-/// `repro bench [reps] [--check ...]`: wall-clock benchmark of the
-/// whole experiment registry. Each rep runs every experiment serially
-/// in registry order against a *fresh* session — every rep pays the
-/// same cold trace and activity stores, like a real `repro all`. Per
-/// experiment the minimum wall time across reps is kept (the
-/// least-noise estimate) together with the max−min rep spread (the
-/// gate's noise floor), alongside the values-encoded tally from the
-/// block evaluation engine's probe, giving values/second throughput.
-///
-/// After the timed reps, one extra **untimed** rep runs with the trace
-/// recorder on and folds each experiment's span subtree into the
-/// pipeline phases (`trace_gen`/`encode`/`accumulate`/`pricing`/
-/// `emit`/`other` — see [`bench::profile`]). Tracing stays off during
-/// the timed reps so its overhead can never leak into `wall_s`; the
-/// phase rep reports its own `phase_wall_s` alongside.
-///
-/// Without `--check`, the schema `bench-repro/2` report is validated
-/// and written to `<out>/BENCH_repro.json`. With `--check`, nothing is
-/// written: the fresh report is compared against the baseline file
-/// (default `<out>/BENCH_repro.json`) by [`bencheck::compare`] —
-/// regressions exit non-zero, an incompatible baseline (different
-/// `values`/`seed`) warns and exits zero.
-fn run_bench(
-    experiments: &[Experiment],
-    reps: usize,
-    check: Option<(Option<std::path::PathBuf>, CheckConfig)>,
-) -> ExitCode {
-    use busprobe::json::JsonValue;
-    // The values/sec figures come from the probe registry.
-    busprobe::set_enabled(true);
-    let cfg = Session::from_env();
-    eprintln!(
-        "bench: {} experiment(s) x {} rep(s), {} values/trace, seed {}",
-        experiments.len(),
-        reps,
-        cfg.values(),
-        cfg.seed()
-    );
-    let mut wall = vec![f64::INFINITY; experiments.len()];
-    let mut wall_max = vec![0.0f64; experiments.len()];
-    let mut encoded = vec![0u64; experiments.len()];
-    let mut total_wall = f64::INFINITY;
-    let mut failed: Vec<&str> = Vec::new();
-    for rep in 0..reps {
-        let session = Session::from_env();
-        let rep_start = Instant::now();
-        for (i, e) in experiments.iter().enumerate() {
-            // Each experiment's tally must carry only its own counts.
-            busprobe::reset();
-            let (result, wall_s) = execute(e, &session);
-            if let Err(msg) = result {
-                eprintln!("[bench] {} FAILED: {msg}", e.id);
-                if !failed.contains(&e.id) {
-                    failed.push(e.id);
-                }
-                continue;
-            }
-            wall[i] = wall[i].min(wall_s);
-            wall_max[i] = wall_max[i].max(wall_s);
-            encoded[i] =
-                encoded[i].max(busprobe::counter("buscoding.codec.values_encoded").value());
-            eprintln!("[bench {}/{}] {:<22} {:.2}s", rep + 1, reps, e.id, wall_s);
-        }
-        total_wall = total_wall.min(rep_start.elapsed().as_secs_f64());
-    }
-    if !failed.is_empty() {
-        eprintln!("bench aborted: {} experiment(s) failed", failed.len());
-        return ExitCode::FAILURE;
-    }
-
-    // The phase rep: same workload, trace recorder on, never timed into
-    // `wall_s`. CSV rendering cost is probed in memory (no writes).
-    eprintln!("[bench] phase rep (untimed, trace recorder on)");
-    let phase_session = Session::from_env();
-    let mut phases: Vec<Vec<(&'static str, f64)>> = Vec::with_capacity(experiments.len());
-    let mut phase_wall = vec![0.0f64; experiments.len()];
-    trace::clear();
-    trace::set_enabled(true);
-    for (i, e) in experiments.iter().enumerate() {
-        busprobe::reset();
-        trace::clear();
-        let (result, wall_s) = {
-            let _root = busprobe::span(e.id);
-            let (result, wall_s) = execute(e, &phase_session);
-            if let Ok(tables) = &result {
-                let _emit = busprobe::span("bench.report.emit");
-                for t in tables {
-                    std::hint::black_box(t.to_csv());
-                }
-            }
-            (result, wall_s)
-        };
-        let spans = trace::drain();
-        phase_wall[i] = wall_s;
-        if result.is_err() {
-            phases.push(profile::phase_breakdown(&[], 0.0));
-            continue;
-        }
-        let nodes = trace::aggregate(&profile::subtree(&spans, e.id));
-        phases.push(profile::phase_breakdown(&nodes, wall_s));
-    }
-    trace::set_enabled(false);
-
-    let per_experiment: Vec<JsonValue> = experiments
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let vps = if wall[i] > 0.0 {
-                encoded[i] as f64 / wall[i]
-            } else {
-                0.0
-            };
-            let spread = if reps > 1 {
-                (wall_max[i] - wall[i]).max(0.0)
-            } else {
-                0.0
-            };
-            JsonValue::Obj(vec![
-                ("id".into(), JsonValue::Str(e.id.into())),
-                ("wall_s".into(), JsonValue::Num(wall[i])),
-                ("values_encoded".into(), JsonValue::Int(encoded[i] as i64)),
-                ("values_per_sec".into(), JsonValue::Num(vps)),
-                ("rep_spread_s".into(), JsonValue::Num(spread)),
-                ("phase_wall_s".into(), JsonValue::Num(phase_wall[i])),
-                (
-                    "phases".into(),
-                    JsonValue::Obj(
-                        phases[i]
-                            .iter()
-                            .map(|(p, s)| ((*p).to_string(), JsonValue::Num(*s)))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let doc = JsonValue::Obj(vec![
-        ("schema".into(), JsonValue::Str("bench-repro/2".into())),
-        ("reps".into(), JsonValue::Int(reps as i64)),
-        ("values".into(), JsonValue::Int(cfg.values() as i64)),
-        ("seed".into(), JsonValue::Int(cfg.seed() as i64)),
-        ("total_wall_s".into(), JsonValue::Num(total_wall)),
-        (
-            "phase_total_s".into(),
-            JsonValue::Num(phase_wall.iter().sum()),
-        ),
-        ("experiments".into(), JsonValue::Arr(per_experiment)),
-    ]);
-    let rendered = format!("{doc}\n");
-    // Self-validate before writing or comparing: the emitted report
-    // must round-trip through the strict parser and satisfy the v2
-    // schema contract.
-    let reparsed = match busprobe::json::parse(rendered.trim_end()) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("bench: emitted report does not parse: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = bencheck::validate_report(&reparsed) {
-        eprintln!("bench: emitted report is not a valid bench-repro/2 document: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some((baseline_path, check_cfg)) = check {
-        let baseline_path =
-            baseline_path.unwrap_or_else(|| cfg.out_dir().join("BENCH_repro.json"));
-        return run_check(&baseline_path, &reparsed, &check_cfg);
-    }
-
-    let path = cfg.out_dir().join("BENCH_repro.json");
-    if let Err(e) =
-        std::fs::create_dir_all(cfg.out_dir()).and_then(|()| std::fs::write(&path, &rendered))
-    {
-        eprintln!("bench: could not write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "[bench] total {:.1}s (min over {} rep(s)); wrote {}",
-        total_wall,
-        reps,
-        path.display()
-    );
-    ExitCode::SUCCESS
-}
-
-/// Exit code for a `--check` that could not run at all: the baseline is
-/// missing or unreadable. Distinct from `1` (a real regression) so CI
-/// can warn-and-continue on an absent baseline while still failing hard
-/// on a slowdown.
-const EXIT_NO_BASELINE: u8 = 2;
-
-/// The `--check` tail of [`run_bench`]: loads the baseline, compares,
-/// reports. An incompatible baseline is a warning (exit 0) — the gate
-/// refuses to guess; a missing or unparseable baseline exits
-/// [`EXIT_NO_BASELINE`] with a regeneration hint; an actual regression
-/// exits 1.
-fn run_check(
-    baseline_path: &std::path::Path,
-    current: &busprobe::JsonValue,
-    cfg: &CheckConfig,
-) -> ExitCode {
-    let no_baseline = |why: &str| {
-        eprintln!("[bench --check] {why}");
-        eprintln!(
-            "[bench --check] regenerate it with `repro bench` (writes {})",
-            baseline_path.display()
-        );
-        ExitCode::from(EXIT_NO_BASELINE)
-    };
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            return no_baseline(&format!(
-                "no baseline at {} ({e}); nothing to compare",
-                baseline_path.display()
-            ));
-        }
-    };
-    let baseline = match busprobe::json::parse(text.trim_end()) {
-        Ok(b) => b,
-        Err(e) => {
-            return no_baseline(&format!(
-                "baseline {} does not parse: {e}",
-                baseline_path.display()
-            ));
-        }
-    };
-    match bencheck::compare(&baseline, current, cfg) {
-        CheckOutcome::Incompatible(reason) => {
-            eprintln!("[bench --check] not comparable: {reason}");
-            ExitCode::SUCCESS
-        }
-        CheckOutcome::Compared(regs) if regs.is_empty() => {
-            eprintln!(
-                "[bench --check] OK against {} (threshold {}x, phase {}x)",
-                baseline_path.display(),
-                cfg.threshold,
-                cfg.phase_threshold
-            );
-            ExitCode::SUCCESS
-        }
-        CheckOutcome::Compared(regs) => {
-            for r in &regs {
-                eprintln!(
-                    "[bench --check] REGRESSION {} {}: {:.3}s -> {:.3}s (limit {:.3}s)",
-                    r.id, r.metric, r.baseline_s, r.current_s, r.limit_s
-                );
-            }
-            eprintln!(
-                "[bench --check] {} regression(s) against {}",
-                regs.len(),
-                baseline_path.display()
-            );
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// `repro serve`: the resident evaluation daemon (or its stdio
@@ -869,7 +559,7 @@ fn run_train(args: &[String], metrics_on: bool) -> ExitCode {
 /// trace recorder and per-span counter capture on. Per experiment,
 /// writes the Chrome trace (`<out>/trace-<id>.json`, validated before
 /// writing) and folded stacks (`<out>/trace-<id>.folded`), then prints
-/// the phase breakdown and the largest self-time spans.
+/// the largest self-time spans.
 fn run_profile(experiments: &[Experiment], args: &[String]) -> ExitCode {
     let selected: Vec<&Experiment> = if args.iter().any(|a| a == "all") {
         experiments.iter().collect()
@@ -951,18 +641,7 @@ fn run_profile(experiments: &[Experiment], args: &[String]) -> ExitCode {
             trace_path.display(),
             folded_path.display()
         );
-        let root_wall_s = spans
-            .iter()
-            .find(|s| s.path == e.id)
-            .map_or(0.0, |s| s.dur_ns() as f64 / 1e9);
-        let nodes = trace::aggregate(&profile::subtree(&spans, e.id));
-        let breakdown = profile::phase_breakdown(&nodes, root_wall_s);
-        let line: Vec<String> = breakdown
-            .iter()
-            .map(|(p, s)| format!("{p} {s:.2}s"))
-            .collect();
-        eprintln!("[{}] phases: {}", e.id, line.join("  "));
-        let mut by_self = nodes;
+        let mut by_self = trace::aggregate(&profile::subtree(&spans, e.id));
         by_self.sort_by_key(|n| std::cmp::Reverse(n.self_ns));
         eprintln!("[{}] top self-time:", e.id);
         for node in by_self.iter().take(8).filter(|n| n.self_ns > 0) {
@@ -990,8 +669,7 @@ fn run_profile(experiments: &[Experiment], args: &[String]) -> ExitCode {
 fn print_usage(experiments: &[Experiment]) {
     println!(
         "usage: repro [--metrics] <experiment>... | all | list | metrics-check [file] \
-         | profile <experiment>... | bench [reps] [--check] [--baseline <file>] \
-         [--threshold X] [--phase-threshold Y] | eval <file|-> | train <corpus> \
+         | profile <experiment>... | eval <file|-> | train <corpus> \
          | serve (--socket <path> | --stdio) [--shards N] [--queue N] [--quota N]"
     );
     println!("env: REPRO_VALUES, REPRO_SEED, REPRO_OUT, REPRO_METRICS, REPRO_CACHE, REPRO_SERIAL");

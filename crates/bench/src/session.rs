@@ -38,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use buscoding::{Activity, UnknownScheme};
-use bustrace::{io as trace_io, Trace};
+use bustrace::{hash as fnv, io as trace_io, Trace};
 
 use crate::schemes::baseline_activity;
 use crate::workloads::Workload;
@@ -190,14 +190,14 @@ impl TraceKey {
     }
 }
 
-/// FNV-1a, enough for cache file names (no dependency, stable across
-/// runs — unlike `DefaultHasher`, whose keys are randomized per
-/// process).
+/// [`bustrace::hash::fnv1a`] as a [`Hasher`], for cache file names
+/// (stable across runs — unlike `DefaultHasher`, whose keys are
+/// randomized per process).
 struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
+        Fnv1a(fnv::FNV_OFFSET)
     }
 }
 
@@ -207,10 +207,7 @@ impl Hasher for Fnv1a {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = fnv::fnv1a_extend(self.0, bytes);
     }
 }
 

@@ -33,6 +33,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
+use bustrace::hash::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
@@ -279,27 +280,11 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// FNV-1a over a byte slice — the section checksum (stable across runs
-/// and platforms, no dependency).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Order-preserving FNV-1a over whole words — the signature hash. The
 /// full 64-bit digest is kept (no table-index masking), so accidental
 /// collisions are negligible and the trained tables stay exact.
 pub fn signature_hash<I: Iterator<Item = Word>>(values: I) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        h ^= v;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    values.fold(FNV_OFFSET, |h, v| (h ^ v).wrapping_mul(FNV_PRIME))
 }
 
 // ---------------------------------------------------------------------

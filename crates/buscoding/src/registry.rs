@@ -24,6 +24,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 use bustrace::Width;
 
@@ -123,16 +124,44 @@ fn family_and_args(name: &str) -> Option<(&str, &str)> {
     }
 }
 
+/// Largest structure size each family accepts by name; the smallest is
+/// 1 (inversion also takes 0 chunks, meaning plain bus-invert). Every
+/// bound covers the sizes the experiments sweep — up to `window(64)`,
+/// `stride(32)`, context tables of 64 with shift registers of 32,
+/// `fcm(2 2^12)`, `inversion(6ch ..)` — and keeps a hostile name from
+/// reaching a constructor assertion or an unbounded allocation.
+const MAX_WINDOW_ENTRIES: usize = 1024;
+const MAX_STRIDES: usize = 256;
+const MAX_CONTEXT_ENTRIES: usize = 1024;
+const MAX_ZONES: usize = 16;
+const MAX_FCM_ORDER: usize = 16;
+const MAX_FCM_TABLE_BITS: u32 = 16;
+const MAX_INVERSION_CHUNKS: u32 = 6;
+
+/// Parses a structure size in `1..=max`.
+fn size<T: FromStr + PartialOrd + From<u8>>(text: &str, max: T) -> Option<T> {
+    let n: T = text.parse().ok()?;
+    (n >= T::from(1) && n <= max).then_some(n)
+}
+
+/// Whether a predictive engine offering up to `candidates` predictions
+/// fits a `width` bus: its two control lines must fit the 64-line state
+/// word beside the data lines, and the bus must have a distinct
+/// codeword for every candidate plus the last-value code.
+fn engine_fits(width: Width, candidates: usize) -> bool {
+    width.bits() + 2 <= 64 && (candidates as u64) < 1u64 << width.bits()
+}
+
 /// Parses `"<table>+<shift> d<divide>"` (the context-scheme argument
-/// form).
-fn parse_context_args(args: &str) -> Option<(usize, usize, u64)> {
+/// form) into a configuration for a `width` bus.
+fn context_config(width: Width, args: &str) -> Option<ContextConfig> {
     let (sizes, divide) = args.split_once(' ')?;
     let (table, shift) = sizes.split_once('+')?;
-    Some((
-        table.parse().ok()?,
-        shift.parse().ok()?,
-        divide.strip_prefix('d')?.parse().ok()?,
-    ))
+    let table = size(table, MAX_CONTEXT_ENTRIES)?;
+    let shift = size(shift, MAX_CONTEXT_ENTRIES)?;
+    let divide = divide.strip_prefix('d')?.parse().ok()?;
+    engine_fits(width, table + shift)
+        .then(|| ContextConfig::new(width, table, shift).with_divide_period(divide))
 }
 
 /// Parses `"<chunks>ch l<lambda>"` (the inversion-scheme argument form).
@@ -142,7 +171,8 @@ fn parse_inversion_args(args: &str) -> Option<(u32, f64)> {
     if !lambda.is_finite() || lambda < 0.0 {
         return None;
     }
-    Some((chunks.strip_suffix("ch")?.parse().ok()?, lambda))
+    let chunks: u32 = chunks.strip_suffix("ch")?.parse().ok()?;
+    (chunks <= MAX_INVERSION_CHUNKS).then_some((chunks, lambda))
 }
 
 /// Builds a fresh encoder/decoder pair for the scheme named by its
@@ -154,7 +184,9 @@ fn parse_inversion_args(args: &str) -> Option<(u32, f64)> {
 /// # Errors
 ///
 /// Returns [`UnknownScheme`] when the name does not match any
-/// [`SCHEME_PATTERNS`] entry or its parameters fail to parse.
+/// [`SCHEME_PATTERNS`] entry, its parameters fail to parse or fall
+/// outside the family's size bound, or the scheme does not fit a
+/// `width` bus.
 pub fn scheme_by_name(name: &str, width: Width) -> Result<Transcoder, UnknownScheme> {
     let unknown = || UnknownScheme {
         name: name.to_string(),
@@ -191,29 +223,33 @@ pub fn scheme_by_name(name: &str, width: Width) -> Result<Transcoder, UnknownSch
             Transcoder::new(name, IdentityCodec::new(width), IdentityCodec::new(width))
         }
         "window" => {
-            let entries: usize = args.parse().map_err(|_| unknown())?;
+            let entries = size(args, MAX_WINDOW_ENTRIES)
+                .filter(|&n| engine_fits(width, n))
+                .ok_or_else(unknown)?;
             let (e, d) = window_codec(WindowConfig::new(width, entries));
             Transcoder::new(name, e, d)
         }
         "stride" => {
-            let strides: usize = args.parse().map_err(|_| unknown())?;
+            let strides = size(args, MAX_STRIDES)
+                .filter(|&n| engine_fits(width, n))
+                .ok_or_else(unknown)?;
             let (e, d) = stride_codec(StrideConfig::new(width, strides));
             Transcoder::new(name, e, d)
         }
         "context-value" => {
-            let (table, shift, divide) = parse_context_args(args).ok_or_else(unknown)?;
-            let cfg = ContextConfig::new(width, table, shift).with_divide_period(divide);
+            let cfg = context_config(width, args).ok_or_else(unknown)?;
             let (e, d) = context_value_codec(cfg);
             Transcoder::new(name, e, d)
         }
         "context-transition" => {
-            let (table, shift, divide) = parse_context_args(args).ok_or_else(unknown)?;
-            let cfg = ContextConfig::new(width, table, shift).with_divide_period(divide);
+            let cfg = context_config(width, args).ok_or_else(unknown)?;
             let (e, d) = context_transition_codec(cfg);
             Transcoder::new(name, e, d)
         }
         "inversion" => {
-            let (chunks, lambda) = parse_inversion_args(args).ok_or_else(unknown)?;
+            let (chunks, lambda) = parse_inversion_args(args)
+                .filter(|&(chunks, _)| chunks <= width.bits() && width.bits() + chunks.max(1) <= 64)
+                .ok_or_else(unknown)?;
             let patterns = if chunks <= 1 {
                 PatternSet::bus_invert(width)
             } else {
@@ -226,7 +262,13 @@ pub fn scheme_by_name(name: &str, width: Width) -> Result<Transcoder, UnknownSch
             )
         }
         "workzone" => {
-            let zones: usize = args.parse().map_err(|_| unknown())?;
+            // One hit/miss line plus the zone-id lines beside the data.
+            let zones = size(args, MAX_ZONES)
+                .filter(|&n| {
+                    let id_lines = usize::BITS - (n - 1).leading_zeros();
+                    width.bits() >= 6 && width.bits() + 1 + id_lines <= 64
+                })
+                .ok_or_else(unknown)?;
             Transcoder::new(
                 name,
                 WorkZoneEncoder::new(width, zones),
@@ -235,10 +277,12 @@ pub fn scheme_by_name(name: &str, width: Width) -> Result<Transcoder, UnknownSch
         }
         "fcm" => {
             let (order, bits) = args.split_once(' ').ok_or_else(unknown)?;
-            let order: usize = order.parse().map_err(|_| unknown())?;
-            let bits: u32 = bits
+            let order = size(order, MAX_FCM_ORDER)
+                .filter(|_| engine_fits(width, 2))
+                .ok_or_else(unknown)?;
+            let bits = bits
                 .strip_prefix("2^")
-                .and_then(|b| b.parse().ok())
+                .and_then(|b| size(b, MAX_FCM_TABLE_BITS))
                 .ok_or_else(unknown)?;
             let (e, d) = fcm_codec(FcmConfig::new(width, order, bits));
             Transcoder::new(name, e, d)
@@ -312,6 +356,51 @@ mod tests {
             let err = scheme_by_name(bad, Width::W32).expect_err(bad);
             assert_eq!(err.name(), bad);
             assert!(err.to_string().contains("window(<entries>)"), "{err}");
+        }
+    }
+
+    #[test]
+    fn hostile_parameters_are_unknown_schemes_not_panics() {
+        let w4 = Width::new(4).unwrap();
+        let w63 = Width::new(63).unwrap();
+        let rejected = [
+            ("inversion(7ch l1)", Width::W32),
+            ("window(0)", Width::W32),
+            ("stride(0)", Width::W32),
+            ("workzone(0)", Width::W32),
+            ("fcm(0 2^4)", Width::W32),
+            ("fcm(2 2^0)", Width::W32),
+            ("fcm(2 2^31)", Width::W32),
+            ("fcm(2 2^24)", Width::W32),
+            ("context-value(0+0 d0)", Width::W32),
+            ("context-transition(28+0 d4096)", Width::W32),
+            ("window(100000000000)", Width::W32),
+            ("stride(100000000000)", Width::W32),
+            ("workzone(17)", Width::W32),
+            // Parameters fine, bus too narrow or too wide for them.
+            ("window(64)", w4),
+            ("inversion(6ch l1)", w4),
+            ("workzone(4)", w4),
+            ("stride(4)", w63),
+            ("workzone(16)", Width::new(64).unwrap()),
+        ];
+        for (name, width) in rejected {
+            let err = scheme_by_name(name, width).expect_err(name);
+            assert_eq!(err.name(), name);
+            assert_eq!(err.artifact_error(), None, "{name}");
+        }
+        // The bounds admit every size the experiments sweep.
+        for name in [
+            "window(64)",
+            "stride(32)",
+            "context-value(64+32 d4096)",
+            "context-transition(64+8 d0)",
+            "inversion(6ch l1)",
+            "inversion(0ch l1)",
+            "workzone(16)",
+            "fcm(2 2^12)",
+        ] {
+            scheme_by_name(name, Width::W32).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 

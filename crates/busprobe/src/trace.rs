@@ -5,9 +5,9 @@
 //!
 //! The aggregate span cells in the registry answer "how much time did
 //! this path take in total"; this module answers "*when* did each
-//! instance run, on which thread, and what did it do" — the input both
-//! the `repro profile` subcommand and the phase-attributed bench
-//! schema are built on.
+//! instance run, on which thread, and what did it do" — the input the
+//! `repro profile` subcommand, the per-experiment metrics records and
+//! the daemon's `profile` verb are built on.
 //!
 //! # Recording model
 //!

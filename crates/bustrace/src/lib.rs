@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod generators;
+pub mod hash;
 pub mod io;
 pub mod stats;
 

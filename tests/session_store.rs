@@ -64,6 +64,9 @@ fn concurrent_requests_generate_the_trace_exactly_once() {
 
 #[test]
 fn distinct_seeds_do_not_alias() {
+    // Generates traces, which moves the global counters a sibling test
+    // is asserting exact deltas on while it has probes enabled.
+    let _g = probe_lock();
     let store = TraceStore::in_memory();
     let w = Workload::Bench(Benchmark::Gcc, BusKind::Register);
     let a = store.get(&TraceKey::new(w, 4_000, 1));
