@@ -37,8 +37,9 @@ use crate::workloads::Workload;
 /// is not purely additive; responses echo it as `api`.
 pub const API_VERSION: i64 = 1;
 
-/// Largest inline trace a request may carry, in words — the same cap
-/// [`bustrace::io`] applies when reading traces from disk.
+/// Largest trace a request may carry inline or ask for by `len`, in
+/// words — the same cap [`bustrace::io`] applies when reading traces
+/// from disk.
 pub const MAX_INLINE_WORDS: usize = bustrace::io::DEFAULT_MAX_WORDS;
 
 static EVALS: busprobe::StaticCounter = busprobe::StaticCounter::new("bench.api.evals");
@@ -342,12 +343,28 @@ fn parse_stored(body: &JsonValue) -> Result<TraceSource, ApiError> {
             ApiError::BadRequest("`seed` must be a non-negative integer".into())
         })?),
     };
+    let len = usize_field("len")?;
+    if let Some(len) = len {
+        check_size(len)?;
+    }
     Ok(TraceSource::Stored {
         workload,
-        len: usize_field("len")?,
+        len,
         cap: usize_field("cap")?,
         seed,
     })
+}
+
+/// Rejects a trace of more than [`MAX_INLINE_WORDS`] words before
+/// anything is allocated for it.
+fn check_size(words: usize) -> Result<(), ApiError> {
+    if words > MAX_INLINE_WORDS {
+        return Err(ApiError::TooLarge {
+            words,
+            limit: MAX_INLINE_WORDS,
+        });
+    }
+    Ok(())
 }
 
 fn parse_inline(trace: &JsonValue) -> Result<TraceSource, ApiError> {
@@ -360,12 +377,7 @@ fn parse_inline(trace: &JsonValue) -> Result<TraceSource, ApiError> {
     let width = Width::new(bits).map_err(|e| ApiError::BadRequest(format!("`trace.width`: {e}")))?;
     let words = match trace.get("words") {
         Some(JsonValue::Arr(items)) => {
-            if items.len() > MAX_INLINE_WORDS {
-                return Err(ApiError::TooLarge {
-                    words: items.len(),
-                    limit: MAX_INLINE_WORDS,
-                });
-            }
+            check_size(items.len())?;
             items
                 .iter()
                 .map(|v| {
@@ -439,9 +451,9 @@ pub enum ApiError {
     UnknownWorkload(String),
     /// A scheme name is not in the registry.
     UnknownScheme(UnknownScheme),
-    /// The inline trace exceeds [`MAX_INLINE_WORDS`].
+    /// The trace exceeds [`MAX_INLINE_WORDS`].
     TooLarge {
-        /// Words the request carried.
+        /// Words the request carried or asked for.
         words: usize,
         /// The accepted maximum.
         limit: usize,
@@ -457,10 +469,9 @@ impl std::fmt::Display for ApiError {
                 "unknown workload {name:?} (expected e.g. `random`, `phased/4096`, `gcc/register`)"
             ),
             ApiError::UnknownScheme(e) => write!(f, "{e}"),
-            ApiError::TooLarge { words, limit } => write!(
-                f,
-                "inline trace of {words} words exceeds the {limit}-word limit"
-            ),
+            ApiError::TooLarge { words, limit } => {
+                write!(f, "trace of {words} words exceeds the {limit}-word limit")
+            }
         }
     }
 }
@@ -674,6 +685,9 @@ impl Evaluator for Session {
                 cap,
                 seed,
             } => {
+                if let Some(len) = len {
+                    check_size(*len)?;
+                }
                 let mut evaluated = Vec::with_capacity(request.schemes.len());
                 let mut key = None;
                 for scheme in &request.schemes {
@@ -703,12 +717,7 @@ impl Evaluator for Session {
                 )
             }
             TraceSource::Inline { width, words } => {
-                if words.len() > MAX_INLINE_WORDS {
-                    return Err(ApiError::TooLarge {
-                        words: words.len(),
-                        limit: MAX_INLINE_WORDS,
-                    });
-                }
+                check_size(words.len())?;
                 let trace = Trace::from_values(*width, words.iter().copied());
                 let mut evaluated = Vec::with_capacity(request.schemes.len());
                 for scheme in &request.schemes {
@@ -1062,6 +1071,9 @@ mod tests {
 
     #[test]
     fn bad_requests_are_typed_not_panics() {
+        // Both once crashed the daemon.
+        let phased0 = r#"{"schemes":["identity"],"workload":"phased/0"}"#;
+        let huge_len = r#"{"schemes":["identity"],"workload":"random","len":100000000000}"#;
         let cases: &[(&str, &str)] = &[
             (r#"{"workload":"random"}"#, "schemes"),
             (r#"{"schemes":[],"workload":"random"}"#, "empty"),
@@ -1079,11 +1091,25 @@ mod tests {
                 r#"{"schemes":["identity"],"workload":"random","pricing":{"tech":"5um","length_mm":1}}"#,
                 "tech",
             ),
+            (phased0, "phase"),
+            (huge_len, "len"),
         ];
         for (raw, why) in cases {
             let body = busprobe::json::parse(raw).expect("test json");
             assert!(EvalRequest::from_json(&body).is_err(), "{why}: {raw}");
         }
+        let kind = |raw: &str| {
+            let body = busprobe::json::parse(raw).expect("test json");
+            ServiceError::from(EvalRequest::from_json(&body).expect_err(raw)).kind
+        };
+        assert_eq!(kind(phased0), "unknown_workload");
+        assert_eq!(kind(huge_len), "too_large");
+        // A programmatic request is bounded the same way.
+        let huge = EvalRequest::stored(Workload::Random, vec!["identity".into()]).len(usize::MAX);
+        assert!(matches!(
+            session().evaluate(&huge),
+            Err(ApiError::TooLarge { .. })
+        ));
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! All percentages are λ-weighted energy removed relative to the
 //! un-encoded bus with λ = 1, the paper's default (Section 4.4).
 
-use buscoding::normalized_energy_remaining;
+use buscoding::{normalized_energy_remaining, SchemeSpec};
 use simcpu::{Benchmark, BusKind};
 
 use crate::api::{EvalRequest, Evaluator};
 use crate::experiments::par_map;
 use crate::report::{f, Table};
-use crate::schemes::Scheme;
 use crate::session::ActivityQuery;
 use crate::workloads::Workload;
 use crate::Session;
@@ -29,10 +28,10 @@ fn percent_sweep(
     title: &str,
     session: &Session,
     workloads: Vec<Workload>,
-    configs: Vec<(String, Scheme)>,
+    configs: Vec<(String, SchemeSpec)>,
 ) -> Table {
     let mut t = Table::new(id, title, &["workload", "x", "scheme", "percent_removed"]);
-    let schemes: Vec<String> = configs.iter().map(|(_, s)| s.name()).collect();
+    let schemes: Vec<String> = configs.iter().map(|(_, s)| s.to_string()).collect();
     let results = par_map(workloads, |w| {
         let request = EvalRequest::stored(w, schemes.clone()).lambda(LAMBDA);
         let response = session
@@ -99,11 +98,11 @@ pub fn fig15(session: &Session) -> Vec<Table> {
         // design at actual λ = 1 shares its entry with the fixed λ1
         // design (identical scheme name).
         let inversion = |w: Workload, design: f64| {
-            let scheme = Scheme::Inversion {
+            let scheme = SchemeSpec::Inversion {
                 chunks: 6,
-                design_lambda: design,
+                lambda: design,
             };
-            session.activity(&ActivityQuery::new(scheme.name(), w).cap(CAP))
+            session.activity(&ActivityQuery::new(scheme.to_string(), w).cap(CAP))
         };
         // λ0 and λ1 designs are independent of the actual λ.
         let fixed: Vec<(String, Vec<buscoding::Activity>)> = [("l0", 0.0), ("l1", 1.0)]
@@ -146,10 +145,10 @@ pub fn fig15(session: &Session) -> Vec<Table> {
     vec![t]
 }
 
-fn stride_configs() -> Vec<(String, Scheme)> {
+fn stride_configs() -> Vec<(String, SchemeSpec)> {
     [1usize, 2, 4, 8, 12, 16, 20, 24, 28, 32]
         .iter()
-        .map(|&s| (s.to_string(), Scheme::Stride { strides: s }))
+        .map(|&s| (s.to_string(), SchemeSpec::Stride(s)))
         .collect()
 }
 
@@ -175,10 +174,10 @@ pub fn fig17(session: &Session) -> Vec<Table> {
     )]
 }
 
-fn window_configs() -> Vec<(String, Scheme)> {
+fn window_configs() -> Vec<(String, SchemeSpec)> {
     [2usize, 4, 8, 12, 16, 24, 32, 48, 64]
         .iter()
-        .map(|&n| (n.to_string(), Scheme::Window { entries: n }))
+        .map(|&n| (n.to_string(), SchemeSpec::Window(n)))
         .collect()
 }
 
@@ -208,18 +207,18 @@ fn table_sizes() -> Vec<usize> {
     vec![4, 8, 12, 16, 20, 24, 28, 32, 40, 48, 56, 64]
 }
 
-fn context_configs(transition: bool) -> Vec<(String, Scheme)> {
+fn context_configs(transition: bool) -> Vec<(String, SchemeSpec)> {
     table_sizes()
         .into_iter()
         .map(|n| {
             let scheme = if transition {
-                Scheme::ContextTransition {
+                SchemeSpec::ContextTransition {
                     table: n,
                     shift: 8,
                     divide: 4096,
                 }
             } else {
-                Scheme::ContextValue {
+                SchemeSpec::ContextValue {
                     table: n,
                     shift: 8,
                     divide: 4096,
@@ -297,7 +296,7 @@ pub fn fig24(session: &Session) -> Vec<Table> {
         for &sr in &[2usize, 4, 8, 12, 16, 24, 32] {
             configs.push((
                 format!("{sr}@{table}"),
-                Scheme::ContextValue {
+                SchemeSpec::ContextValue {
                     table,
                     shift: sr,
                     divide: 4096,
@@ -321,7 +320,7 @@ pub fn fig25(session: &Session) -> Vec<Table> {
         for &period in &[4u64, 16, 64, 256, 1024, 4096, 16384] {
             configs.push((
                 format!("{period}@{table}"),
-                Scheme::ContextValue {
+                SchemeSpec::ContextValue {
                     table,
                     shift: 8,
                     divide: period,

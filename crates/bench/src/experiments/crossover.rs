@@ -2,7 +2,7 @@
 //! scaling trends (Figures 37–38), median crossover lengths (Table 3),
 //! and the Section 7 headline number.
 
-use buscoding::Activity;
+use buscoding::{Activity, SchemeSpec};
 use hwmodel::crossover::{median, CodingOutcome};
 use hwmodel::OpCounts;
 use simcpu::{Benchmark, BusKind};
@@ -10,7 +10,7 @@ use wiremodel::{Technology, WireStyle};
 
 use crate::experiments::par_map;
 use crate::report::{f, opt_mm, Table};
-use crate::schemes::{window_hw_ops, window_outcome_from_parts, Scheme};
+use crate::schemes::{window_hw_ops, window_outcome_from_parts, CONTEXT28};
 use crate::session::ActivityQuery;
 use crate::workloads::Workload;
 use crate::Session;
@@ -45,7 +45,10 @@ fn window_parts(
         WindowParts {
             bench: b,
             baseline: session.baseline(w),
-            coded: session.activity(&ActivityQuery::new(Scheme::Window { entries }.name(), w)),
+            coded: session.activity(&ActivityQuery::new(
+                SchemeSpec::Window(entries).to_string(),
+                w,
+            )),
             ops: window_hw_ops(&trace, entries),
             values: trace.len() as u64,
         }
@@ -230,36 +233,23 @@ pub fn headline(session: &Session) -> Vec<Table> {
         "Average % of weighted transitions removed, register bus (paper headline: 36%)",
         &["scheme", "average_percent_removed"],
     );
-    let schemes = [
-        Scheme::Window { entries: 8 },
-        Scheme::Window { entries: 16 },
-        Scheme::ContextValue {
-            table: 28,
-            shift: 8,
-            divide: 4096,
-        },
-    ];
-    let per_bench: Vec<Vec<f64>> = par_map(Benchmark::ALL.to_vec(), move |b| {
+    let schemes = [SchemeSpec::Window(8), SchemeSpec::Window(16), CONTEXT28];
+    let per_bench: Vec<Vec<f64>> = par_map(Benchmark::ALL.to_vec(), |b| {
         let w = Workload::Bench(b, BusKind::Register);
         let baseline = session.baseline(w);
         schemes
             .iter()
             .map(|s| {
-                let coded = session.activity(&ActivityQuery::new(s.name(), w));
+                let coded = session.activity(&ActivityQuery::new(s.to_string(), w));
                 buscoding::percent_energy_removed(&coded, &baseline, 1.0)
             })
             .collect()
     });
     for (i, scheme) in schemes.iter().enumerate() {
         let avg: f64 = per_bench.iter().map(|row| row[i]).sum::<f64>() / per_bench.len() as f64;
-        t.push(vec![scheme.name(), f(avg, 1)]);
+        t.push(vec![scheme.to_string(), f(avg, 1)]);
     }
     vec![t]
-}
-
-/// Shared check used by trend figures' tests and `paper_claims`.
-pub fn activity_ratio(coded: &Activity, baseline: &Activity) -> f64 {
-    coded.weighted(1.0) / baseline.weighted(1.0)
 }
 
 #[cfg(test)]

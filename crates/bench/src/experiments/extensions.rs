@@ -4,20 +4,33 @@
 use buscoding::predict::{MissPolicy, PredictiveEncoder, WindowPredictor};
 use buscoding::spatial::spatial_activity;
 use buscoding::varlen::huffman_study;
-use buscoding::{evaluate_blocks, percent_energy_removed, CostModel};
+use buscoding::{evaluate_blocks, percent_energy_removed, CostModel, SchemeSpec};
 use bustrace::generators::{TraceGenerator, WorkingSetGen};
-use bustrace::Width;
+use bustrace::{Trace, Width};
 use simcpu::{Benchmark, BusKind};
 
 use crate::experiments::par_map;
 use crate::report::{f, Table};
-use crate::schemes::Scheme;
+use crate::schemes::{baseline_activity, CONTEXT28};
 use crate::session::ActivityQuery;
 use crate::workloads::Workload;
 use crate::Session;
 
 /// Most extension studies cap their traces at 100k values.
 const CAP: usize = 100_000;
+
+/// The window(8) transcoder, the extensions' reference scheme.
+const WINDOW8: SchemeSpec = SchemeSpec::Window(8);
+
+/// Percent of energy window(8) removes from a trace the session does
+/// not store (λ = 1).
+fn window8_removed(trace: &Trace) -> f64 {
+    let mut pair = WINDOW8
+        .build(trace.width())
+        .expect("window(8) fits every swept width");
+    let coded = evaluate_blocks(pair.encoder_mut(), trace);
+    percent_energy_removed(&coded, &baseline_activity(trace), 1.0)
+}
 
 /// Section 6: how much would variable-length coding buy, and at what
 /// timing cost? Oracle Huffman over each trace, serialized over 8 and
@@ -49,8 +62,7 @@ pub fn varlen(session: &Session) -> Vec<Table> {
             let study = huffman_study(&trace, 256, 8);
             let baseline = session.baseline_capped(w, CAP);
             let tau_ratio = study.serialized.tau() as f64 / baseline.tau() as f64;
-            let coded =
-                session.activity(&ActivityQuery::new(Scheme::Window { entries: 8 }.name(), w).cap(CAP));
+            let coded = session.activity(&ActivityQuery::new(WINDOW8.to_string(), w).cap(CAP));
             let window = percent_energy_removed(&coded, &baseline, 1.0);
             (
                 format!("{b}/register"),
@@ -88,7 +100,7 @@ pub fn width(session: &Session) -> Vec<Table> {
     for bits in [8u32, 16, 24, 32, 48, 62] {
         let w = Width::new(bits).expect("valid width");
         let trace = WorkingSetGen::new(w, 32, 0.8, 0.005, session.seed()).generate(values);
-        let removed = Scheme::Window { entries: 8 }.percent_removed(&trace, 1.0);
+        let removed = window8_removed(&trace);
         t.push(vec![bits.to_string(), f(removed, 1)]);
     }
     vec![t]
@@ -117,8 +129,7 @@ pub fn spatial_bound(session: &Session) -> Vec<Table> {
             let n = trace.len() as f64;
             let baseline = session.baseline_capped(w, CAP);
             let spatial = spatial_activity(&trace);
-            let window =
-                session.activity(&ActivityQuery::new(Scheme::Window { entries: 8 }.name(), w).cap(CAP));
+            let window = session.activity(&ActivityQuery::new(WINDOW8.to_string(), w).cap(CAP));
             (
                 format!("{b}/register"),
                 baseline.tau() as f64 / n,
@@ -150,17 +161,13 @@ pub fn address_bus(session: &Session) -> Vec<Table> {
         ],
     );
     let schemes = [
-        Scheme::WorkZone { zones: 4 },
-        Scheme::Stride { strides: 8 },
-        Scheme::Window { entries: 8 },
-        Scheme::ContextValue {
-            table: 28,
-            shift: 8,
-            divide: 4096,
-        },
-        Scheme::Inversion {
+        SchemeSpec::WorkZone(4),
+        SchemeSpec::Stride(8),
+        WINDOW8,
+        CONTEXT28,
+        SchemeSpec::Inversion {
             chunks: 1,
-            design_lambda: 1.0,
+            lambda: 1.0,
         },
     ];
     let rows = par_map(
@@ -178,7 +185,7 @@ pub fn address_bus(session: &Session) -> Vec<Table> {
             let removed: Vec<f64> = schemes
                 .iter()
                 .map(|s| {
-                    let coded = session.activity(&ActivityQuery::new(s.name(), w).cap(CAP));
+                    let coded = session.activity(&ActivityQuery::new(s.to_string(), w).cap(CAP));
                     percent_energy_removed(&coded, &baseline, 1.0)
                 })
                 .collect();
@@ -215,8 +222,7 @@ pub fn miss_policy(session: &Session) -> Vec<Table> {
             // The raw-or-inverted default *is* window(8): share the
             // session store. RawOnly isn't a registry scheme, so it
             // runs the block engine directly.
-            let both =
-                session.activity(&ActivityQuery::new(Scheme::Window { entries: 8 }.name(), w).cap(CAP));
+            let both = session.activity(&ActivityQuery::new(WINDOW8.to_string(), w).cap(CAP));
             let cost = CostModel::default();
             let mut raw_only: PredictiveEncoder<WindowPredictor> =
                 PredictiveEncoder::new(trace.width(), WindowPredictor::new(8), cost)
@@ -278,14 +284,10 @@ pub fn predictors(session: &Session) -> Vec<Table> {
         &["workload", "stride16", "window8", "context28", "fcm_o2_4k"],
     );
     let schemes = [
-        Scheme::Stride { strides: 16 },
-        Scheme::Window { entries: 8 },
-        Scheme::ContextValue {
-            table: 28,
-            shift: 8,
-            divide: 4096,
-        },
-        Scheme::Fcm {
+        SchemeSpec::Stride(16),
+        WINDOW8,
+        CONTEXT28,
+        SchemeSpec::Fcm {
             order: 2,
             table_bits: 12,
         },
@@ -296,7 +298,7 @@ pub fn predictors(session: &Session) -> Vec<Table> {
         let removed: Vec<f64> = schemes
             .iter()
             .map(|s| {
-                let coded = session.activity(&ActivityQuery::new(s.name(), w).cap(CAP));
+                let coded = session.activity(&ActivityQuery::new(s.to_string(), w).cap(CAP));
                 percent_energy_removed(&coded, &baseline, 1.0)
             })
             .collect();
@@ -373,12 +375,11 @@ pub fn timing_model(session: &Session) -> Vec<Table> {
             let flat = b.trace(BusKind::Memory, values, seed);
             let deep = b.trace_with(BusKind::Memory, values, seed, MachineConfig::with_l2());
             let ooo = b.trace_ooo(BusKind::Memory, values, seed, OooConfig::default());
-            let s = Scheme::Window { entries: 8 };
             (
                 format!("{b}/memory"),
-                s.percent_removed(&flat, 1.0),
-                s.percent_removed(&deep, 1.0),
-                s.percent_removed(&ooo, 1.0),
+                window8_removed(&flat),
+                window8_removed(&deep),
+                window8_removed(&ooo),
             )
         },
     );
@@ -394,9 +395,7 @@ pub fn timing_model(session: &Session) -> Vec<Table> {
 /// trial and measures whether (and how fast) the decoder *notices*,
 /// and how much silently corrupted data escapes meanwhile.
 pub fn desync(session: &Session) -> Vec<Table> {
-    use buscoding::predict::{context_value_codec, window_codec, ContextConfig, WindowConfig};
-    use buscoding::workzone::{WorkZoneDecoder, WorkZoneEncoder};
-    use buscoding::{Decoder, Transcoder};
+    use buscoding::Decoder;
 
     let mut t = Table::new(
         "ext-desync",
@@ -449,22 +448,16 @@ pub fn desync(session: &Session) -> Vec<Table> {
         ));
     }
 
-    let schemes: Vec<Transcoder> = {
-        let w = trace.width();
-        let (we, wd) = window_codec(WindowConfig::new(w, 8));
-        let (ce, cd) = context_value_codec(ContextConfig::new(w, 28, 8));
-        vec![
-            Transcoder::new("window(8)", we, wd),
-            Transcoder::new("context-value(28+8)", ce, cd),
-            Transcoder::new(
-                "workzone(4)",
-                WorkZoneEncoder::new(w, 4),
-                WorkZoneDecoder::new(w, 4),
-            ),
-        ]
-    };
+    // Row labels predate the registry grammar; they are kept verbatim
+    // so the CSV stays stable.
+    let schemes = [
+        ("window(8)", WINDOW8),
+        ("context-value(28+8)", CONTEXT28),
+        ("workzone(4)", SchemeSpec::WorkZone(4)),
+    ];
 
-    for mut pair in schemes {
+    for (label, spec) in schemes {
+        let mut pair = spec.build(trace.width()).expect("fits the register bus");
         pair.reset();
         let lines = pair.lines();
         let bus: Vec<u64> = trace.iter().map(|v| pair.encode(v)).collect();
@@ -487,7 +480,7 @@ pub fn desync(session: &Session) -> Vec<Table> {
             f64::NAN
         };
         t.push(vec![
-            pair.name().into(),
+            label.into(),
             f(detected_pct, 1),
             if detected > 0 {
                 f(mean_latency, 1)

@@ -14,12 +14,8 @@
 //! * timing-error mode — upset probabilities derived from the wire
 //!   model's delay distribution, worsening with length.
 
-use buscoding::predict::{
-    context_value_codec, fcm_codec, stride_codec, window_codec, ContextConfig, FcmConfig,
-    StrideConfig, WindowConfig,
-};
 use buscoding::robust::{epoch_wrap, RecoveringDecoder};
-use buscoding::{evaluate, Encoder, Transcoder};
+use buscoding::{evaluate_blocks, Encoder, SchemeSpec, Transcoder};
 use busfault::{ErrorPolicy, FaultChannel, RandomUpsets, SingleFlip, TimingFaults};
 use bustrace::Trace;
 use hwmodel::crossover::CodingOutcome;
@@ -28,23 +24,29 @@ use simcpu::{Benchmark, BusKind};
 use wiremodel::{Technology, Wire, WireStyle};
 
 use crate::report::{f, opt_mm, Table};
-use crate::schemes::{baseline_activity, window_transcoder_pj_per_value};
+use crate::schemes::{baseline_activity, window_transcoder_pj_per_value, CONTEXT28};
 use crate::workloads::Workload;
 use crate::Session;
 
-/// The predictive schemes under test, as fresh transcoder pairs.
-fn predictive_schemes(trace: &Trace) -> Vec<Transcoder> {
-    let w = trace.width();
-    let (se, sd) = stride_codec(StrideConfig::new(w, 8));
-    let (we, wd) = window_codec(WindowConfig::new(w, 8));
-    let (ce, cd) = context_value_codec(ContextConfig::new(w, 28, 8).with_divide_period(4096));
-    let (fe, fd) = fcm_codec(FcmConfig::new(w, 2, 12));
-    vec![
-        Transcoder::new("stride(8)", se, sd),
-        Transcoder::new("window(8)", we, wd),
-        Transcoder::new("context-value(28+8)", ce, cd),
-        Transcoder::new("fcm(o2/2^12)", fe, fd),
-    ]
+/// The predictive schemes under test. The row labels predate the
+/// registry grammar; they are kept verbatim so the CSVs stay stable.
+const PREDICTIVE: [(&str, SchemeSpec); 4] = [
+    ("stride(8)", SchemeSpec::Stride(8)),
+    ("window(8)", SchemeSpec::Window(8)),
+    ("context-value(28+8)", CONTEXT28),
+    (
+        "fcm(o2/2^12)",
+        SchemeSpec::Fcm {
+            order: 2,
+            table_bits: 12,
+        },
+    ),
+];
+
+/// A fresh transcoder pair for `spec` on `trace`'s bus.
+fn fresh_pair(spec: &SchemeSpec, trace: &Trace) -> Transcoder {
+    spec.build(trace.width())
+        .expect("the fault-sweep schemes fit the register bus")
 }
 
 /// Splits a seed deterministically per (scheme, cell) without
@@ -91,16 +93,12 @@ fn upset_sweep(seed: u64, trace: &Trace) -> Table {
     const RATES: [f64; 2] = [1e-4, 1e-3];
     const INTERVALS: [u64; 2] = [0, 256]; // 0 = no resync
     let channel = FaultChannel::new(ErrorPolicy::Continue);
-    let names: Vec<String> = predictive_schemes(trace)
-        .iter()
-        .map(|p| p.name().to_string())
-        .collect();
-    for (si, name) in names.iter().enumerate() {
+    for (si, (name, spec)) in PREDICTIVE.iter().enumerate() {
         for (ri, &rate) in RATES.iter().enumerate() {
             for &interval in &INTERVALS {
                 // Fresh FSMs per cell: the channel resets state, but a
                 // fresh pair keeps cells fully independent.
-                let pair = predictive_schemes(trace).swap_remove(si);
+                let pair = fresh_pair(spec, trace);
                 let mut fault =
                     RandomUpsets::new(rate, mix(seed, si as u64, ((ri as u64) << 16) | interval));
                 let report = if interval == 0 {
@@ -112,7 +110,7 @@ fn upset_sweep(seed: u64, trace: &Trace) -> Table {
                     channel.run(&mut enc, &mut dec, &mut fault, trace)
                 };
                 t.push(vec![
-                    name.clone(),
+                    name.to_string(),
                     format!("{rate:e}"),
                     if interval == 0 {
                         "none".to_string()
@@ -150,16 +148,12 @@ fn single_flip_recovery(seed: u64, trace: &Trace) -> Table {
     const TRIALS: u64 = 40;
     let words = trace.len() as u64;
     let channel = FaultChannel::new(ErrorPolicy::Continue);
-    let names: Vec<String> = predictive_schemes(trace)
-        .iter()
-        .map(|p| p.name().to_string())
-        .collect();
-    for (si, name) in names.iter().enumerate() {
+    for (si, (name, spec)) in PREDICTIVE.iter().enumerate() {
         let mut recovered = 0u64;
         let mut corrupted_sum = 0u64;
         let mut max_latency = 0u64;
         for trial in 0..TRIALS {
-            let (enc, dec) = predictive_schemes(trace).swap_remove(si).into_parts();
+            let (enc, dec) = fresh_pair(spec, trace).into_parts();
             let dec = RecoveringDecoder::new(dec, trace.width());
             let (mut enc, mut dec) = epoch_wrap(enc, dec, INTERVAL);
             let x = mix(seed, si as u64, trial);
@@ -183,7 +177,7 @@ fn single_flip_recovery(seed: u64, trace: &Trace) -> Table {
             corrupted_sum += report.corrupted_words;
         }
         t.push(vec![
-            name.clone(),
+            name.to_string(),
             TRIALS.to_string(),
             f(recovered as f64 / TRIALS as f64 * 100.0, 1),
             f(corrupted_sum as f64 / TRIALS as f64, 2),
@@ -216,13 +210,13 @@ fn resync_energy(trace: &Trace) -> Table {
     // Clearing the CAM on a flush rewrites every entry at both ends.
     let pj_per_flush = 2.0 * ENTRIES as f64 * CircuitModel::window(tech, ENTRIES).energies().shift;
     for interval in [0u64, 64, 256, 1024, 4096] {
-        let (enc, dec) = window_codec(WindowConfig::new(trace.width(), ENTRIES));
+        let (enc, dec) = fresh_pair(&SchemeSpec::Window(ENTRIES), trace).into_parts();
         let (coded, flushes) = if interval == 0 {
             let mut enc = enc;
-            (evaluate(&mut enc, trace), 0)
+            (evaluate_blocks(&mut enc, trace), 0)
         } else {
             let (mut enc, _dec) = epoch_wrap(enc, dec, interval);
-            let a = evaluate(&mut enc, trace);
+            let a = evaluate_blocks(&mut enc, trace);
             (a, enc.flushes())
         };
         let removed = (1.0 - coded.weighted(1.0) / base_tau) * 100.0;
@@ -266,7 +260,7 @@ fn timing_mode(seed: u64, trace: &Trace) -> Table {
         let wire = Wire::new(tech, WireStyle::Repeated, len).expect("valid length");
         let mut fault =
             TimingFaults::from_wire(&wire, CYCLE_PS, SIGMA_PS, mix(seed, 0xD1A6, i as u64));
-        let (enc, dec) = window_codec(WindowConfig::new(trace.width(), 8));
+        let (enc, dec) = fresh_pair(&SchemeSpec::Window(8), trace).into_parts();
         let dec = RecoveringDecoder::new(dec, trace.width());
         let (mut enc, mut dec) = epoch_wrap(enc, dec, 256);
         let report = channel.run(&mut enc, &mut dec, &mut fault, trace);

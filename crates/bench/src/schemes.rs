@@ -1,134 +1,23 @@
-//! Scheme construction and evaluation: behavioral bus activity plus
-//! circuit-level transcoder energy.
+//! Baseline bus activity plus the circuit-level transcoder energy of the
+//! Window, Context and inversion designs.
 
-use buscoding::{evaluate_blocks, scheme_by_name, Activity, IdentityCodec, Transcoder};
-use bustrace::{Trace, Width};
+use buscoding::{evaluate_blocks, Activity, IdentityCodec, SchemeSpec};
+use bustrace::Trace;
 use hwmodel::crossover::CodingOutcome;
 use hwmodel::{CircuitModel, ContextHardware, ContextHwConfig, OpCounts, WindowHardware};
 use wiremodel::Technology;
 
+/// The paper's value-based context transcoder: a 28-entry table, an
+/// 8-entry staging register, counters halved every 4096 values.
+pub const CONTEXT28: SchemeSpec = SchemeSpec::ContextValue {
+    table: 28,
+    shift: 8,
+    divide: 4096,
+};
+
 /// Activity of the un-encoded bus over a trace.
 pub fn baseline_activity(trace: &Trace) -> Activity {
     evaluate_blocks(&mut IdentityCodec::new(trace.width()), trace)
-}
-
-/// A coding scheme under evaluation (paper Section 4.3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Scheme {
-    /// Window-based transcoder with this many shift-register entries.
-    Window {
-        /// Shift-register entries.
-        entries: usize,
-    },
-    /// Strided predictor bank with strides `1..=strides`.
-    Stride {
-        /// Number of stride predictors.
-        strides: usize,
-    },
-    /// Value-based context transcoder.
-    ContextValue {
-        /// Frequency-table entries.
-        table: usize,
-        /// Staging shift-register entries.
-        shift: usize,
-        /// Counter-division period (0 disables).
-        divide: u64,
-    },
-    /// Transition-based context transcoder.
-    ContextTransition {
-        /// Frequency-table entries.
-        table: usize,
-        /// Staging shift-register entries.
-        shift: usize,
-        /// Counter-division period (0 disables).
-        divide: u64,
-    },
-    /// Generalized inversion coder over `2^chunks` patterns, designed
-    /// against the given λ (the λ0/λ1/λN families of Figure 15).
-    Inversion {
-        /// Independently invertible fields.
-        chunks: u32,
-        /// Design-time λ of the minimizing cost function.
-        design_lambda: f64,
-    },
-    /// Working-zone encoding (Musoll et al., the paper's reference
-    /// \[15\]) — the classic address-bus baseline.
-    WorkZone {
-        /// Zone registers.
-        zones: usize,
-    },
-    /// FCM + DFCM value prediction (Sazeides & Smith, the paper's
-    /// reference \[19\]).
-    Fcm {
-        /// Context order.
-        order: usize,
-        /// log2 of the prediction-table size.
-        table_bits: u32,
-    },
-}
-
-impl Scheme {
-    /// Display name, e.g. `window(8)`.
-    pub fn name(&self) -> String {
-        match self {
-            Scheme::Window { entries } => format!("window({entries})"),
-            Scheme::Stride { strides } => format!("stride({strides})"),
-            Scheme::ContextValue {
-                table,
-                shift,
-                divide,
-            } => {
-                format!("context-value({table}+{shift} d{divide})")
-            }
-            Scheme::ContextTransition {
-                table,
-                shift,
-                divide,
-            } => {
-                format!("context-transition({table}+{shift} d{divide})")
-            }
-            Scheme::Inversion {
-                chunks,
-                design_lambda,
-            } => {
-                format!("inversion({chunks}ch l{design_lambda})")
-            }
-            Scheme::WorkZone { zones } => format!("workzone({zones})"),
-            Scheme::Fcm { order, table_bits } => format!("fcm({order} 2^{table_bits})"),
-        }
-    }
-
-    /// A fresh encoder/decoder pair for this scheme at the given bus
-    /// width, built through the shared `buscoding` factory registry —
-    /// [`Scheme::name`] strings *are* the registry's grammar, so this
-    /// can never drift from what other registry consumers (the adaptive
-    /// controller, tools) construct for the same name.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the enum and the registry grammar fall out of
-    /// sync — a bug, covered by `scheme_names_build_via_registry`.
-    pub fn transcoder(&self, width: Width) -> Transcoder {
-        scheme_by_name(&self.name(), width)
-            .unwrap_or_else(|e| panic!("Scheme::name emitted an unregistered name: {e}"))
-    }
-
-    /// Behavioral bus activity of this scheme over a trace, with the
-    /// paper's default λ = 1 codebook ordering. Runs the block-batched
-    /// engine; repeated evaluations inside a `repro` run should prefer
-    /// the memoized [`crate::Session::activity`] store.
-    pub fn activity(&self, trace: &Trace) -> Activity {
-        let mut pair = self.transcoder(trace.width());
-        evaluate_blocks(pair.encoder_mut(), trace)
-    }
-
-    /// Percent of λ-weighted energy removed relative to the un-encoded
-    /// bus.
-    pub fn percent_removed(&self, trace: &Trace, lambda: f64) -> f64 {
-        let coded = self.activity(trace);
-        let baseline = baseline_activity(trace);
-        buscoding::percent_energy_removed(&coded, &baseline, lambda)
-    }
 }
 
 /// Runs the Window hardware model over a trace and returns its op
@@ -213,7 +102,10 @@ pub fn window_outcome_with_baseline(
     entries: usize,
     tech: Technology,
 ) -> CodingOutcome {
-    let coded = Scheme::Window { entries }.activity(trace);
+    let mut pair = SchemeSpec::Window(entries)
+        .build(trace.width())
+        .unwrap_or_else(|e| panic!("{e}"));
+    let coded = evaluate_blocks(pair.encoder_mut(), trace);
     let ops = window_hw_ops(trace, entries);
     window_outcome_from_parts(baseline, coded, trace.len() as u64, &ops, entries, tech)
 }
@@ -234,19 +126,6 @@ pub fn window_outcome_from_parts(
     CodingOutcome::new(baseline, coded, values, transcoder)
 }
 
-/// Full measurement of the Context design on a trace.
-pub fn context_outcome(trace: &Trace, cfg: ContextHwConfig, tech: Technology) -> CodingOutcome {
-    let coded = Scheme::ContextValue {
-        table: cfg.table,
-        shift: cfg.shift,
-        divide: cfg.divide_period,
-    }
-    .activity(trace);
-    let baseline = baseline_activity(trace);
-    let transcoder = context_transcoder_pj_per_value(trace, cfg, tech);
-    CodingOutcome::new(baseline, coded, trace.len() as u64, transcoder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,33 +142,26 @@ mod tests {
         Trace::from_values(Width::W32, (0..n).map(|i| set[i % 5]))
     }
 
+    /// The experiments' CSVs print these names; they must not drift.
     #[test]
     fn scheme_names() {
-        assert_eq!(Scheme::Window { entries: 8 }.name(), "window(8)");
+        assert_eq!(SchemeSpec::Window(8).to_string(), "window(8)");
+        assert_eq!(CONTEXT28.to_string(), "context-value(28+8 d4096)");
         assert_eq!(
-            Scheme::ContextValue {
-                table: 28,
-                shift: 8,
-                divide: 4096
-            }
-            .name(),
-            "context-value(28+8 d4096)"
-        );
-        assert_eq!(
-            Scheme::Inversion {
+            SchemeSpec::Inversion {
                 chunks: 1,
-                design_lambda: 0.0
+                lambda: 0.0
             }
-            .name(),
+            .to_string(),
             "inversion(1ch l0)"
         );
-        assert_eq!(Scheme::WorkZone { zones: 4 }.name(), "workzone(4)");
+        assert_eq!(SchemeSpec::WorkZone(4).to_string(), "workzone(4)");
         assert_eq!(
-            Scheme::Fcm {
+            SchemeSpec::Fcm {
                 order: 2,
                 table_bits: 12
             }
-            .name(),
+            .to_string(),
             "fcm(2 2^12)"
         );
     }
@@ -297,7 +169,8 @@ mod tests {
     #[test]
     fn window_removes_energy_on_looping_traffic() {
         let t = looping_trace(20_000);
-        let removed = Scheme::Window { entries: 8 }.percent_removed(&t, 1.0);
+        let coded = window_outcome(&t, 8, Technology::tech_013()).coded;
+        let removed = buscoding::percent_energy_removed(&coded, &baseline_activity(&t), 1.0);
         assert!(removed > 60.0, "{removed}");
     }
 

@@ -680,7 +680,7 @@ mod tests {
         let w = Workload::Bench(Benchmark::Gcc, BusKind::Register);
         let trace = s.trace(w);
         let mut pair = buscoding::scheme_by_name("window(8)", trace.width()).unwrap();
-        let direct = buscoding::evaluate(pair.encoder_mut(), &trace);
+        let direct = buscoding::evaluate_blocks(pair.encoder_mut(), &trace);
         let q = ActivityQuery::new("window(8)", w);
         assert!(!s.activity_cached(&q));
         assert_eq!(s.activity(&q), direct);

@@ -88,7 +88,8 @@ impl Workload {
             return Some(Workload::Random);
         }
         if let Some(phase) = name.strip_prefix("phased/") {
-            return phase.parse().ok().map(|phase| Workload::Phased { phase });
+            let phase: usize = phase.parse().ok().filter(|&p| p > 0)?;
+            return Some(Workload::Phased { phase });
         }
         if let Some(rest) = name.strip_prefix("mixed/") {
             let (programs, rest) = rest.split_once('/')?;
@@ -232,6 +233,7 @@ mod tests {
             "nope/register",
             "phased/x",
             "phased/",
+            "phased/0",
             "mixed/gcc/register/64",
             "mixed/gcc+nope/register/64",
             "mixed/gcc+perl/register/0",

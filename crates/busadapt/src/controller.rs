@@ -7,8 +7,8 @@
 //! share one [`Core`] behind `Rc<RefCell<…>>` — modelling the control
 //! sideband a real adaptive bus would run beside the data lines. All
 //! harnesses in this workspace ([`buscoding::verify_roundtrip`], the
-//! `busfault` channel, `evaluate`) drive the pair in lockstep (encode
-//! word *n*, then decode word *n*), so the boundary work performed
+//! `busfault` channel) drive the pair in lockstep (encode word *n*,
+//! then decode word *n*), so the boundary work performed
 //! while encoding word *n* — choosing the next scheme and flushing both
 //! FSMs — is always visible to the decoder before it observes word *n*.
 //!
@@ -50,16 +50,22 @@ static HIST_UNIQUE: busprobe::StaticHistogram =
 static HIST_STRIDE: busprobe::StaticHistogram =
     busprobe::StaticHistogram::new("adapt.window_stride_pct", PCT_BOUNDS);
 
-/// Configuration of an [`AdaptiveTranscoder`]: the candidate pool and
-/// the controller's observation parameters.
+/// Coupling weight λ of the shadow cost models (the paper's default).
+const LAMBDA: f64 = 1.0;
+/// Tiled sub-window size of the uniqueness estimator.
+const UNIQUENESS_WINDOW: usize = 16;
+/// History depth of the stride-hit estimator.
+const STRIDE_DEPTH: usize = 2;
+
+/// Configuration of an [`AdaptiveTranscoder`]: the candidate pool, the
+/// decision period and the recovery mode. The shadow models score
+/// windows at λ = 1; the window statistics use a uniqueness sub-window
+/// of 16 and a stride depth of 2.
 #[derive(Debug, Clone)]
 pub struct AdaptiveConfig {
     width: Width,
     candidates: Vec<String>,
     period: u64,
-    lambda: f64,
-    uniqueness_window: usize,
-    stride_depth: usize,
     recover: bool,
     initial: usize,
 }
@@ -68,8 +74,8 @@ impl AdaptiveConfig {
     /// A configuration selecting among `candidates` (canonical registry
     /// names, see [`buscoding::SCHEME_PATTERNS`]) every `period` words.
     ///
-    /// Defaults: λ = 1, uniqueness sub-window 16, stride depth 2,
-    /// bounded recovery on, candidate 0 carries the first window.
+    /// Defaults: bounded recovery on, candidate 0 carries the first
+    /// window.
     ///
     /// # Panics
     ///
@@ -86,19 +92,9 @@ impl AdaptiveConfig {
             width,
             candidates,
             period,
-            lambda: 1.0,
-            uniqueness_window: 16,
-            stride_depth: 2,
             recover: true,
             initial: 0,
         }
-    }
-
-    /// Sets the coupling weight λ used by the shadow cost models.
-    #[must_use]
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
     }
 
     /// Sets which candidate carries the first window (no policy gets to
@@ -114,20 +110,6 @@ impl AdaptiveConfig {
             "initial candidate out of range"
         );
         self.initial = index;
-        self
-    }
-
-    /// Sets the tiled sub-window size of the uniqueness estimator.
-    #[must_use]
-    pub fn with_uniqueness_window(mut self, window: usize) -> Self {
-        self.uniqueness_window = window;
-        self
-    }
-
-    /// Sets the stride-predictor history depth.
-    #[must_use]
-    pub fn with_stride_depth(mut self, k: usize) -> Self {
-        self.stride_depth = k;
         self
     }
 
@@ -153,11 +135,6 @@ impl AdaptiveConfig {
     /// The bus word width.
     pub fn width(&self) -> Width {
         self.width
-    }
-
-    /// The shadow models' coupling weight λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 }
 
@@ -215,7 +192,7 @@ fn line_mask(lines: u32) -> u64 {
 }
 
 /// A per-window activity accumulator starting from the all-low
-/// power-on bus state, exactly like [`buscoding::evaluate`].
+/// power-on bus state, exactly like [`buscoding::evaluate_blocks`].
 fn cold_activity(lines: u32) -> Activity {
     let mut a = Activity::new(lines);
     a.step(0);
@@ -277,7 +254,6 @@ impl Core {
         // were flushed at the previous boundary, so this produces the
         // exact state sequence the old per-word loop accumulated —
         // minus `candidates × period` virtual dispatches per window.
-        let lambda = self.cfg.lambda;
         let words = &self.window_words;
         let states = &mut self.shadow_states;
         let costs: Vec<f64> = self
@@ -288,7 +264,7 @@ impl Core {
                 candidate.shadow.encode_block(words, states);
                 let mut activity = cold_activity(candidate.lines);
                 activity.step_slice(states);
-                activity.weighted(lambda)
+                activity.weighted(LAMBDA)
             })
             .collect();
         let stats = WindowStats {
@@ -507,8 +483,8 @@ impl AdaptiveTranscoder {
         let residency = vec![0; candidates.len()];
         let mut core = Core {
             transitions: StreamingTransitions::new(cfg.width),
-            uniqueness: StreamingWindowUniqueness::new(cfg.uniqueness_window),
-            strides: StreamingStrideHits::new(cfg.width, cfg.stride_depth),
+            uniqueness: StreamingWindowUniqueness::new(UNIQUENESS_WINDOW),
+            strides: StreamingStrideHits::new(cfg.width, STRIDE_DEPTH),
             live: cfg.initial,
             cfg,
             lines,
@@ -635,7 +611,7 @@ impl std::fmt::Debug for AdaptHandle {
 mod tests {
     use super::*;
     use crate::policy::{GreedyShadowPolicy, StaticPolicy};
-    use buscoding::{evaluate, verify_roundtrip};
+    use buscoding::{evaluate_blocks, verify_roundtrip};
     use bustrace::Trace;
 
     /// `phases` half-windows of looping traffic alternating with
@@ -676,7 +652,7 @@ mod tests {
     fn residency_words_sum_to_trace_length() {
         let trace = phase_change_trace(4, 256);
         let mut adaptive = greedy(64);
-        let _ = evaluate(adaptive.transcoder_mut().encoder_mut(), &trace);
+        let _ = evaluate_blocks(adaptive.transcoder_mut().encoder_mut(), &trace);
         let report = adaptive.report();
         let total: u64 = report.residency.iter().map(|(_, w)| w).sum();
         assert_eq!(total, trace.len() as u64);
@@ -704,10 +680,12 @@ mod tests {
         // wire activity comparison is apples to apples).
         let trace = phase_change_trace(6, 512);
         let mut adaptive = greedy(128);
-        let adaptive_cost = evaluate(adaptive.transcoder_mut().encoder_mut(), &trace).weighted(1.0);
+        let adaptive_cost =
+            evaluate_blocks(adaptive.transcoder_mut().encoder_mut(), &trace).weighted(1.0);
         let cfg = AdaptiveConfig::new(Width::W32, ["window(8)", "stride(4)"], 128);
         let mut pinned = AdaptiveTranscoder::new(cfg, Box::new(StaticPolicy::new(0))).unwrap();
-        let pinned_cost = evaluate(pinned.transcoder_mut().encoder_mut(), &trace).weighted(1.0);
+        let pinned_cost =
+            evaluate_blocks(pinned.transcoder_mut().encoder_mut(), &trace).weighted(1.0);
         assert!(
             adaptive_cost < pinned_cost,
             "adaptive {adaptive_cost} vs pinned {pinned_cost}"
@@ -818,7 +796,7 @@ mod tests {
         let trace = phase_change_trace(2, 128);
         let adaptive = greedy(32);
         let (mut pair, handle) = adaptive.into_transcoder();
-        let _ = evaluate(pair.encoder_mut(), &trace);
+        let _ = evaluate_blocks(pair.encoder_mut(), &trace);
         assert_eq!(handle.report().words, trace.len() as u64);
     }
 }

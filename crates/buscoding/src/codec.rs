@@ -254,49 +254,36 @@ impl fmt::Display for RoundTripError {
 
 impl Error for RoundTripError {}
 
-/// Runs an encoder over a trace and accumulates the bus switching
-/// activity. The encoder is reset first, and the bus is assumed to start
-/// all-low (the first driven state is counted as a transition from zero).
-///
-/// # Example
-///
-/// ```
-/// use bustrace::{Trace, Width};
-/// use buscoding::{evaluate, IdentityCodec};
-///
-/// let trace = Trace::from_values(Width::W32, [0u64, 1, 1, 3]);
-/// let activity = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
-/// // 0 -> 1 (one flip), 1 -> 1 (none), 1 -> 3 (one flip)
-/// assert_eq!(activity.tau(), 2);
-/// ```
-pub fn evaluate<E: Encoder + ?Sized>(encoder: &mut E, trace: &Trace) -> Activity {
-    let _span = busprobe::span("buscoding.codec.evaluate");
-    encoder.reset();
-    let mut activity = Activity::new(encoder.lines());
-    activity.step(0); // power-on state: all lines low
-    for value in trace.iter() {
-        activity.step(encoder.encode(value));
-    }
-    if busprobe::enabled() {
-        busprobe::counter("buscoding.codec.evaluate_calls").inc();
-        busprobe::counter("buscoding.codec.values_encoded").add(trace.len() as u64);
-    }
-    activity
-}
-
 /// Words per [`encode_block`](Encoder::encode_block) chunk used by
 /// [`evaluate_blocks`]: large enough to amortize the per-block virtual
 /// call and probe check, small enough that the state buffer stays in
 /// cache (32 KiB at 4096 × 8 bytes).
 pub const BLOCK_WORDS: usize = 4096;
 
-/// Block-batched [`evaluate`]: streams the trace through
-/// [`Encoder::encode_block`] in [`BLOCK_WORDS`]-sized chunks and folds
-/// the τ/κ accumulation over each output buffer with
-/// [`Activity::step_slice`]. One virtual call per block instead of two
-/// per word when `encoder` is a trait object; the counts are exactly
-/// those of the per-word path (the round-trip equivalence is proptested
+/// Runs an encoder over a trace and accumulates the bus switching
+/// activity — the one evaluation path every experiment, the session
+/// store and the service share. The encoder is reset first, and the bus
+/// is assumed to start all-low (the first driven state is counted as a
+/// transition from zero).
+///
+/// The trace streams through [`Encoder::encode_block`] in
+/// [`BLOCK_WORDS`]-sized chunks and the τ/κ accumulation folds over each
+/// output buffer with [`Activity::step_slice`]: one virtual call per
+/// block instead of two per word when `encoder` is a trait object. The
+/// counts are exactly those of a per-word `encode`/`step` loop (pinned
 /// for every registry scheme in `tests/block_equivalence.rs`).
+///
+/// # Example
+///
+/// ```
+/// use bustrace::{Trace, Width};
+/// use buscoding::{evaluate_blocks, IdentityCodec};
+///
+/// let trace = Trace::from_values(Width::W32, [0u64, 1, 1, 3]);
+/// let activity = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
+/// // 0 -> 1 (one flip), 1 -> 1 (none), 1 -> 3 (one flip)
+/// assert_eq!(activity.tau(), 2);
+/// ```
 pub fn evaluate_blocks<E: Encoder + ?Sized>(encoder: &mut E, trace: &Trace) -> Activity {
     static BLOCKS: busprobe::StaticCounter = busprobe::StaticCounter::new("buscoding.blocks");
     let _span = busprobe::span("buscoding.codec.evaluate_blocks");
@@ -374,7 +361,7 @@ mod tests {
     #[test]
     fn evaluate_counts_from_all_low() {
         let trace = Trace::from_values(Width::W32, [0b11u64]);
-        let a = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let a = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         assert_eq!(a.tau(), 2);
         assert_eq!(a.steps(), 1);
     }

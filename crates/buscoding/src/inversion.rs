@@ -272,7 +272,7 @@ impl fmt::Display for PatternSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{evaluate, verify_roundtrip};
+    use crate::codec::{evaluate_blocks, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use bustrace::Trace;
 
@@ -369,12 +369,12 @@ mod tests {
         let patterns = PatternSet::bus_invert(Width::W32);
         let mut enc = InversionEncoder::new(patterns, CostModel::new(1.0));
         let trace = Trace::from_values(Width::W32, std::iter::repeat_n(0xABCD, 100));
-        let a = evaluate(&mut enc, &trace);
+        let a = evaluate_blocks(&mut enc, &trace);
         // Only the initial drive from the all-low bus costs anything.
         let initial = a.tau();
         let trace2 = Trace::from_values(Width::W32, std::iter::repeat_n(0xABCD, 200));
         enc.reset();
-        let a2 = evaluate(&mut enc, &trace2);
+        let a2 = evaluate_blocks(&mut enc, &trace2);
         assert_eq!(
             a2.tau(),
             initial,
@@ -392,8 +392,8 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
             trace.push(x >> 16);
         }
-        let coded = evaluate(&mut enc, &trace);
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let coded = evaluate_blocks(&mut enc, &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         assert!(
             coded.weighted(1.0) < baseline.weighted(1.0),
             "coded {} vs baseline {}",

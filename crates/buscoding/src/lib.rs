@@ -28,7 +28,7 @@
 //!
 //! ```
 //! use bustrace::{Trace, Width};
-//! use buscoding::{evaluate, CostModel, IdentityCodec, Encoder};
+//! use buscoding::{evaluate_blocks, CostModel, IdentityCodec};
 //! use buscoding::predict::{window_codec, WindowConfig};
 //!
 //! // A loop over seven 32-bit constants, as a register bus might see.
@@ -37,9 +37,9 @@
 //! let trace = Trace::from_values(Width::W32, (0..1000).map(|i| values[i % 7]));
 //! let cost = CostModel::new(1.0);
 //!
-//! let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+//! let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
 //! let (mut enc, _dec) = window_codec(WindowConfig::new(Width::W32, 8));
-//! let coded = evaluate(&mut enc, &trace);
+//! let coded = evaluate_blocks(&mut enc, &trace);
 //! // Seven recurring values fit an 8-entry window: big energy savings.
 //! assert!(coded.weighted(cost.lambda()) < 0.3 * baseline.weighted(cost.lambda()));
 //! ```
@@ -65,10 +65,9 @@ mod metrics;
 
 pub use codebook::CodeBook;
 pub use codec::{
-    evaluate, evaluate_blocks, verify_roundtrip, Decoder, Encoder, RoundTripError, Transcoder,
-    BLOCK_WORDS,
+    evaluate_blocks, verify_roundtrip, Decoder, Encoder, RoundTripError, Transcoder, BLOCK_WORDS,
 };
 pub use energy::{Activity, CostModel, WireActivity};
 pub use identity::IdentityCodec;
 pub use metrics::{normalized_energy_remaining, percent_energy_removed, SchemeReport};
-pub use registry::{scheme_by_name, scheme_candidates, UnknownScheme, SCHEME_PATTERNS};
+pub use registry::{scheme_by_name, scheme_candidates, SchemeSpec, UnknownScheme, SCHEME_PATTERNS};

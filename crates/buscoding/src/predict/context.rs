@@ -455,7 +455,7 @@ pub fn context_transition_codec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{evaluate, verify_roundtrip};
+    use crate::codec::{evaluate_blocks, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::metrics::percent_energy_removed;
     use bustrace::Trace;
@@ -592,11 +592,11 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(11);
             trace.push(set[((x >> 50) % 40) as usize]);
         }
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         let (mut venc, _) = context_value_codec(cfg(24, 8));
         let (mut tenc, _) = context_transition_codec(cfg(24, 8));
-        let v = percent_energy_removed(&evaluate(&mut venc, &trace), &baseline, 1.0);
-        let t = percent_energy_removed(&evaluate(&mut tenc, &trace), &baseline, 1.0);
+        let v = percent_energy_removed(&evaluate_blocks(&mut venc, &trace), &baseline, 1.0);
+        let t = percent_energy_removed(&evaluate_blocks(&mut tenc, &trace), &baseline, 1.0);
         assert!(v > t, "value {v:.1}% should beat transition {t:.1}%");
     }
 
@@ -609,11 +609,11 @@ mod tests {
         use bustrace::generators::{MarkovGen, TraceGenerator};
         let mut g = MarkovGen::ring(Width::W32, 20, 0.97, 11);
         let trace = g.generate(40_000);
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         let (mut tenc, _) = context_transition_codec(cfg(24, 8));
         let (mut venc, _) = context_value_codec(cfg(24, 8));
-        let t = percent_energy_removed(&evaluate(&mut tenc, &trace), &baseline, 1.0);
-        let v = percent_energy_removed(&evaluate(&mut venc, &trace), &baseline, 1.0);
+        let t = percent_energy_removed(&evaluate_blocks(&mut tenc, &trace), &baseline, 1.0);
+        let v = percent_energy_removed(&evaluate_blocks(&mut venc, &trace), &baseline, 1.0);
         assert!(
             t > v,
             "transition {t:.1}% should beat value {v:.1}% on Markov traffic"
@@ -634,9 +634,9 @@ mod tests {
             let r = ((x >> 48) as f64 / 65536.0).powi(3);
             trace.push(set[(r * 63.0) as usize]);
         }
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         let (mut enc, _) = context_value_codec(cfg(28, 8));
-        let removed = percent_energy_removed(&evaluate(&mut enc, &trace), &baseline, 1.0);
+        let removed = percent_energy_removed(&evaluate_blocks(&mut enc, &trace), &baseline, 1.0);
         assert!(removed > 30.0, "removed only {removed:.1}%");
     }
 

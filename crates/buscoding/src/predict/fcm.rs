@@ -205,7 +205,7 @@ pub fn fcm_codec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{evaluate, verify_roundtrip};
+    use crate::codec::{evaluate_blocks, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::metrics::percent_energy_removed;
     use bustrace::Trace;
@@ -272,8 +272,8 @@ mod tests {
         let seq: Vec<u64> = (0..7).map(|i| 0x1357_9BDFu64.wrapping_mul(i + 1)).collect();
         let trace = Trace::from_values(Width::W32, (0..30_000).map(|i| seq[i % 7]));
         let (mut enc, _) = fcm_codec(cfg());
-        let coded = evaluate(&mut enc, &trace);
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let coded = evaluate_blocks(&mut enc, &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         let removed = percent_energy_removed(&coded, &baseline, 1.0);
         assert!(removed > 80.0, "removed only {removed:.1}%");
     }

@@ -419,7 +419,7 @@ impl<P: Predictor> Decoder for PredictiveDecoder<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{evaluate, verify_roundtrip};
+    use crate::codec::{evaluate_blocks, verify_roundtrip};
     use bustrace::Trace;
 
     /// A predictor that always predicts a fixed list — enough to unit
@@ -464,10 +464,10 @@ mod tests {
     fn repeated_value_is_free_after_first() {
         let (mut enc, _) = pair(vec![]);
         let trace = Trace::from_values(Width::W32, std::iter::repeat_n(0xCAFE, 100));
-        let a = evaluate(&mut enc, &trace);
+        let a = evaluate_blocks(&mut enc, &trace);
         let first_cost = a.tau();
         let trace2 = Trace::from_values(Width::W32, std::iter::repeat_n(0xCAFE, 1000));
-        let a2 = evaluate(&mut enc, &trace2);
+        let a2 = evaluate_blocks(&mut enc, &trace2);
         assert_eq!(a2.tau(), first_cost);
         assert!(matches!(
             enc.last_outcome(),

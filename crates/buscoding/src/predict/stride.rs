@@ -181,7 +181,7 @@ pub fn stride_codec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{evaluate, verify_roundtrip};
+    use crate::codec::{evaluate_blocks, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::metrics::percent_energy_removed;
     use bustrace::Trace;
@@ -249,8 +249,8 @@ mod tests {
     fn removes_energy_on_strided_traffic() {
         let trace = Trace::from_values(Width::W32, (0..20_000u64).map(|i| 0x1000 + 4 * i));
         let (mut enc, _) = stride_codec(StrideConfig::new(Width::W32, 4));
-        let coded = evaluate(&mut enc, &trace);
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let coded = evaluate_blocks(&mut enc, &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         // Every hit still costs one code toggle per word, while a bare
         // +4 counter only toggles ~2 wires per word — so even perfect
         // prediction cannot approach 100% here (this is why the paper's
@@ -270,8 +270,8 @@ mod tests {
             trace.push(x >> 16);
         }
         let (mut enc, _) = stride_codec(StrideConfig::new(Width::W32, 16));
-        let coded = evaluate(&mut enc, &trace);
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let coded = evaluate_blocks(&mut enc, &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         // Near zero either way: spurious hits and control-line traffic
         // roughly cancel the inverted-miss savings (Figure 16's random
         // line hugs the axis).
@@ -293,12 +293,12 @@ mod tests {
             trace.push(start + counters[s] * stride);
             counters[s] += 1;
         }
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         let removed: Vec<f64> = [1usize, 2, 4, 8]
             .iter()
             .map(|&s| {
                 let (mut enc, _) = stride_codec(StrideConfig::new(Width::W32, s));
-                percent_energy_removed(&evaluate(&mut enc, &trace), &baseline, 1.0)
+                percent_energy_removed(&evaluate_blocks(&mut enc, &trace), &baseline, 1.0)
             })
             .collect();
         // Interleave of 4 streams: big jump once stride-4 is available.

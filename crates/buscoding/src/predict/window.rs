@@ -159,7 +159,7 @@ pub fn window_codec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{evaluate, verify_roundtrip};
+    use crate::codec::{evaluate_blocks, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::metrics::percent_energy_removed;
     use bustrace::Trace;
@@ -203,9 +203,9 @@ mod tests {
             (0..30_000u64)
                 .map(|i| [0xDEAD, 0xBEEF, 0xCAFE, 0xF00D, 0x1234, 0xFFFF][(i % 6) as usize]),
         );
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         let (mut enc, _) = window_codec(WindowConfig::new(Width::W32, 8));
-        let coded = evaluate(&mut enc, &trace);
+        let coded = evaluate_blocks(&mut enc, &trace);
         // Hits still pay their codeword toggles, so "everything fits"
         // means ~80%, not 100%.
         let removed = percent_energy_removed(&coded, &baseline, 1.0);
@@ -216,12 +216,12 @@ mod tests {
     fn bigger_windows_help_until_working_set_fits() {
         let set: Vec<u64> = (0..24).map(|i| 0x8000_0000u64 + i * 0x0101_0101).collect();
         let trace = Trace::from_values(Width::W32, (0..40_000u64).map(|i| set[(i % 24) as usize]));
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         let removed: Vec<f64> = [4usize, 8, 16, 32, 48]
             .iter()
             .map(|&n| {
                 let (mut enc, _) = window_codec(WindowConfig::new(Width::W32, n));
-                percent_energy_removed(&evaluate(&mut enc, &trace), &baseline, 1.0)
+                percent_energy_removed(&evaluate_blocks(&mut enc, &trace), &baseline, 1.0)
             })
             .collect();
         // Below the working-set size the cyclic trace always misses (a
@@ -242,9 +242,9 @@ mod tests {
             Width::W32,
             (0..10_000u64).flat_map(|i| std::iter::repeat_n(i * 0x9E3779B9, 4)),
         );
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         let (mut enc, _) = window_codec(WindowConfig::new(Width::W32, 1));
-        let coded = evaluate(&mut enc, &trace);
+        let coded = evaluate_blocks(&mut enc, &trace);
         let removed = percent_energy_removed(&coded, &baseline, 1.0);
         assert!(removed > -10.0 && removed < 25.0, "removed {removed:.1}%");
     }

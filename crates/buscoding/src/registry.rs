@@ -1,20 +1,24 @@
-//! The scheme factory registry: construct any coding scheme in this
-//! crate from its display name.
+//! The scheme registry: one typed [`SchemeSpec`] per coding scheme in
+//! this crate, its name grammar, and the factory that builds it.
 //!
-//! Every scheme already carries a canonical display name (the strings
-//! `bench` prints in its tables: `window(8)`, `context-value(28+8
-//! d4096)`, …). Before this module, each consumer that needed to build
-//! schemes *by name* — the bench harness, the adaptive controller, ad
-//! hoc tools — kept its own construction table. [`scheme_by_name`] is
-//! the one shared table: it parses a canonical name and returns a fresh
-//! [`Transcoder`] pair, so candidate lists can be plain `&str` slices
-//! and two consumers can never disagree about what `stride(8)` means.
+//! Every scheme has one canonical display name (the strings `bench`
+//! prints in its tables: `window(8)`, `context-value(28+8 d4096)`, …).
+//! [`SchemeSpec`] is that name as a value: `FromStr` parses the grammar
+//! and `Display` renders it back, so code that sweeps schemes works
+//! with typed parameters while the session store, the wire protocol and
+//! the CSVs keep speaking names. [`SchemeSpec::build`] returns a fresh
+//! [`Transcoder`] pair, and [`scheme_by_name`] is parse-then-build, so
+//! two consumers can never disagree about what `stride(8)` means.
 //!
 //! # Example
 //!
 //! ```
-//! use buscoding::{scheme_by_name, verify_roundtrip};
+//! use buscoding::{scheme_by_name, verify_roundtrip, SchemeSpec};
 //! use bustrace::{Trace, Width};
+//!
+//! let spec = SchemeSpec::Window(8);
+//! assert_eq!(spec.to_string(), "window(8)");
+//! assert_eq!("window(8)".parse::<SchemeSpec>().unwrap(), spec);
 //!
 //! let mut pair = scheme_by_name("window(8)", Width::W32).unwrap();
 //! let trace = Trace::from_values(Width::W32, (0..100u64).map(|i| i % 7));
@@ -25,17 +29,17 @@
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use bustrace::Width;
 
-use std::sync::Arc;
-
-use crate::codec::Transcoder;
+use crate::codec::{Decoder, Encoder, Transcoder};
 use crate::energy::CostModel;
 use crate::identity::IdentityCodec;
 use crate::inversion::{InversionDecoder, InversionEncoder, PatternSet};
 use crate::predict::trained::{
     artifact_dir, available_artifacts, load_named_artifact, trained_codec, ArtifactError,
+    TrainedTables,
 };
 use crate::predict::{
     context_transition_codec, context_value_codec, fcm_codec, stride_codec, window_codec,
@@ -52,6 +56,13 @@ pub struct UnknownScheme {
 }
 
 impl UnknownScheme {
+    fn new(name: &str) -> Self {
+        UnknownScheme {
+            name: name.to_string(),
+            artifact: None,
+        }
+    }
+
     /// The offending name.
     pub fn name(&self) -> &str {
         &self.name
@@ -82,7 +93,7 @@ impl fmt::Display for UnknownScheme {
 
 impl Error for UnknownScheme {}
 
-/// The name grammar [`scheme_by_name`] accepts, one pattern per scheme
+/// The name grammar [`SchemeSpec`] parses, one pattern per scheme
 /// family.
 pub const SCHEME_PATTERNS: &[&str] = &[
     "identity",
@@ -109,39 +120,183 @@ pub fn scheme_candidates() -> Vec<String> {
     candidates
 }
 
-/// Splits `name` into a family and the text between its parentheses;
-/// a name without parentheses yields an empty argument string.
-fn family_and_args(name: &str) -> Option<(&str, &str)> {
-    match name.find('(') {
-        None => Some((name, "")),
-        Some(open) => {
-            let close = name.rfind(')')?;
-            if close != name.len() - 1 || close < open {
-                return None;
+// Largest structure size each family accepts by name; the smallest is
+// 1 (inversion also takes 0 chunks, meaning plain bus-invert). Every
+// bound covers the sizes the experiments sweep — up to `window(64)`,
+// `stride(32)`, context tables of 64 with shift registers of 32,
+// `fcm(2 2^12)`, `inversion(6ch ..)` — and keeps a hostile name from
+// reaching a constructor assertion or an unbounded allocation.
+/// Largest `window(<entries>)`.
+pub const MAX_WINDOW_ENTRIES: usize = 1024;
+/// Largest `stride(<strides>)`.
+pub const MAX_STRIDES: usize = 256;
+/// Largest context `<table>` and `<shift>`.
+pub const MAX_CONTEXT_ENTRIES: usize = 1024;
+/// Largest `workzone(<zones>)`.
+pub const MAX_ZONES: usize = 16;
+/// Largest `fcm(<order> ..)`.
+pub const MAX_FCM_ORDER: usize = 16;
+/// Largest `fcm(.. 2^<table_bits>)`.
+pub const MAX_FCM_TABLE_BITS: u32 = 16;
+/// Largest `inversion(<chunks>ch ..)`.
+pub const MAX_INVERSION_CHUNKS: u32 = 6;
+
+/// One coding scheme as a typed value: a variant per
+/// [`SCHEME_PATTERNS`] family.
+///
+/// `FromStr` parses the name grammar within each family's size bounds;
+/// `Display` renders the canonical name and is its exact inverse.
+/// Whether the scheme fits a bus is up to [`build`](Self::build).
+/// Specs written in code must keep to the same bounds.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SchemeSpec {
+    /// The un-encoded bus.
+    Identity,
+    /// Inversion coder over `2^chunks` patterns (0 or 1 chunk is plain
+    /// bus-invert) minimizing τ + λ·κ at a design-time λ (Figure 15).
+    Inversion {
+        /// Independently invertible fields.
+        chunks: u32,
+        /// Design-time λ of the minimized cost.
+        lambda: f64,
+    },
+    /// Strided predictor bank with strides `1..=n`: `stride(<n>)`.
+    Stride(usize),
+    /// Window-based transcoder with `n` shift-register entries:
+    /// `window(<n>)`.
+    Window(usize),
+    /// Value-based context transcoder.
+    ContextValue {
+        /// Frequency-table entries.
+        table: usize,
+        /// Staging shift-register entries.
+        shift: usize,
+        /// Counter-division period (0 disables).
+        divide: u64,
+    },
+    /// Transition-based context transcoder.
+    ContextTransition {
+        /// Frequency-table entries.
+        table: usize,
+        /// Staging shift-register entries.
+        shift: usize,
+        /// Counter-division period (0 disables).
+        divide: u64,
+    },
+    /// Working-zone encoding (the paper's reference \[15\]) with `n`
+    /// zone registers: `workzone(<n>)`.
+    WorkZone(usize),
+    /// FCM + DFCM value prediction (the paper's reference \[19\]).
+    Fcm {
+        /// Context order.
+        order: usize,
+        /// log2 of the prediction-table size.
+        table_bits: u32,
+    },
+    /// Tables trained offline, loaded by artifact name when built.
+    Trained(String),
+}
+
+impl fmt::Display for SchemeSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SchemeSpec::Identity => write!(f, "identity"),
+            SchemeSpec::Inversion { chunks, lambda } => {
+                write!(f, "inversion({chunks}ch l{lambda})")
             }
-            Some((&name[..open], &name[open + 1..close]))
+            SchemeSpec::Stride(strides) => write!(f, "stride({strides})"),
+            SchemeSpec::Window(entries) => write!(f, "window({entries})"),
+            SchemeSpec::ContextValue {
+                table,
+                shift,
+                divide,
+            } => write!(f, "context-value({table}+{shift} d{divide})"),
+            SchemeSpec::ContextTransition {
+                table,
+                shift,
+                divide,
+            } => write!(f, "context-transition({table}+{shift} d{divide})"),
+            SchemeSpec::WorkZone(zones) => write!(f, "workzone({zones})"),
+            SchemeSpec::Fcm { order, table_bits } => write!(f, "fcm({order} 2^{table_bits})"),
+            SchemeSpec::Trained(artifact) => write!(f, "trained:{artifact}"),
         }
     }
 }
 
-/// Largest structure size each family accepts by name; the smallest is
-/// 1 (inversion also takes 0 chunks, meaning plain bus-invert). Every
-/// bound covers the sizes the experiments sweep — up to `window(64)`,
-/// `stride(32)`, context tables of 64 with shift registers of 32,
-/// `fcm(2 2^12)`, `inversion(6ch ..)` — and keeps a hostile name from
-/// reaching a constructor assertion or an unbounded allocation.
-const MAX_WINDOW_ENTRIES: usize = 1024;
-const MAX_STRIDES: usize = 256;
-const MAX_CONTEXT_ENTRIES: usize = 1024;
-const MAX_ZONES: usize = 16;
-const MAX_FCM_ORDER: usize = 16;
-const MAX_FCM_TABLE_BITS: u32 = 16;
-const MAX_INVERSION_CHUNKS: u32 = 6;
+impl FromStr for SchemeSpec {
+    type Err = UnknownScheme;
+
+    /// Parses a scheme name. Any `trained:` artifact name parses: it is
+    /// validated when the artifact loads, so a bad one is an artifact
+    /// error rather than an unknown scheme.
+    fn from_str(name: &str) -> Result<Self, UnknownScheme> {
+        if let Some(artifact) = name.strip_prefix("trained:") {
+            return Ok(SchemeSpec::Trained(artifact.to_string()));
+        }
+        parse_family(name).ok_or_else(|| UnknownScheme::new(name))
+    }
+}
 
 /// Parses a structure size in `1..=max`.
 fn size<T: FromStr + PartialOrd + From<u8>>(text: &str, max: T) -> Option<T> {
     let n: T = text.parse().ok()?;
     (n >= T::from(1) && n <= max).then_some(n)
+}
+
+/// Parses every family but `trained:`: a family name, then its
+/// arguments between parentheses.
+fn parse_family(name: &str) -> Option<SchemeSpec> {
+    let (family, args) = match name.split_once('(') {
+        None => (name, ""),
+        Some((family, rest)) => (family, rest.strip_suffix(')')?),
+    };
+    // `<table>+<shift> d<divide>`, shared by both context families.
+    let context = || -> Option<(usize, usize, u64)> {
+        let (sizes, divide) = args.split_once(' ')?;
+        let (table, shift) = sizes.split_once('+')?;
+        let divide = divide.strip_prefix('d')?.parse().ok()?;
+        let table = size(table, MAX_CONTEXT_ENTRIES)?;
+        Some((table, size(shift, MAX_CONTEXT_ENTRIES)?, divide))
+    };
+    Some(match family {
+        "identity" if args.is_empty() => SchemeSpec::Identity,
+        "inversion" => {
+            let (chunks, lambda) = args.split_once(' ')?;
+            let chunks: u32 = chunks.strip_suffix("ch")?.parse().ok()?;
+            let lambda: f64 = lambda.strip_prefix('l')?.parse().ok()?;
+            if chunks > MAX_INVERSION_CHUNKS || !lambda.is_finite() || lambda < 0.0 {
+                return None;
+            }
+            SchemeSpec::Inversion { chunks, lambda }
+        }
+        "stride" => SchemeSpec::Stride(size(args, MAX_STRIDES)?),
+        "window" => SchemeSpec::Window(size(args, MAX_WINDOW_ENTRIES)?),
+        "context-value" => {
+            let (table, shift, divide) = context()?;
+            SchemeSpec::ContextValue {
+                table,
+                shift,
+                divide,
+            }
+        }
+        "context-transition" => {
+            let (table, shift, divide) = context()?;
+            SchemeSpec::ContextTransition {
+                table,
+                shift,
+                divide,
+            }
+        }
+        "workzone" => SchemeSpec::WorkZone(size(args, MAX_ZONES)?),
+        "fcm" => {
+            let (order, bits) = args.split_once(' ')?;
+            SchemeSpec::Fcm {
+                order: size(order, MAX_FCM_ORDER)?,
+                table_bits: size(bits.strip_prefix("2^")?, MAX_FCM_TABLE_BITS)?,
+            }
+        }
+        _ => return None,
+    })
 }
 
 /// Whether a predictive engine offering up to `candidates` predictions
@@ -152,144 +307,122 @@ fn engine_fits(width: Width, candidates: usize) -> bool {
     width.bits() + 2 <= 64 && (candidates as u64) < 1u64 << width.bits()
 }
 
-/// Parses `"<table>+<shift> d<divide>"` (the context-scheme argument
-/// form) into a configuration for a `width` bus.
-fn context_config(width: Width, args: &str) -> Option<ContextConfig> {
-    let (sizes, divide) = args.split_once(' ')?;
-    let (table, shift) = sizes.split_once('+')?;
-    let table = size(table, MAX_CONTEXT_ENTRIES)?;
-    let shift = size(shift, MAX_CONTEXT_ENTRIES)?;
-    let divide = divide.strip_prefix('d')?.parse().ok()?;
-    engine_fits(width, table + shift)
-        .then(|| ContextConfig::new(width, table, shift).with_divide_period(divide))
+/// Bundles a constructor's `(encoder, decoder)` pair under `name`.
+fn pair(name: &str, (e, d): (impl Encoder + 'static, impl Decoder + 'static)) -> Transcoder {
+    Transcoder::new(name, e, d)
 }
 
-/// Parses `"<chunks>ch l<lambda>"` (the inversion-scheme argument form).
-fn parse_inversion_args(args: &str) -> Option<(u32, f64)> {
-    let (chunks, lambda) = args.split_once(' ')?;
-    let lambda: f64 = lambda.strip_prefix('l')?.parse().ok()?;
-    if !lambda.is_finite() || lambda < 0.0 {
-        return None;
+impl SchemeSpec {
+    /// Builds a fresh encoder/decoder pair for this scheme on a `width`
+    /// bus, named by its canonical name. Every call yields an
+    /// independent pair in its power-on state.
+    ///
+    /// # Errors
+    ///
+    /// [`UnknownScheme`] when the scheme does not fit a `width` bus, or
+    /// when a `trained:` artifact cannot be loaded
+    /// ([`UnknownScheme::artifact_error`] says why).
+    pub fn build(&self, width: Width) -> Result<Transcoder, UnknownScheme> {
+        self.build_named(&self.to_string(), width)
     }
-    let chunks: u32 = chunks.strip_suffix("ch")?.parse().ok()?;
-    (chunks <= MAX_INVERSION_CHUNKS).then_some((chunks, lambda))
+
+    /// [`build`](Self::build), naming the pair (and any error) `name`.
+    fn build_named(&self, name: &str, width: Width) -> Result<Transcoder, UnknownScheme> {
+        let fits = |ok: bool| ok.then_some(()).ok_or_else(|| UnknownScheme::new(name));
+        let bits = width.bits();
+        Ok(match *self {
+            SchemeSpec::Identity => {
+                pair(name, (IdentityCodec::new(width), IdentityCodec::new(width)))
+            }
+            SchemeSpec::Inversion { chunks, lambda } => {
+                fits(chunks <= bits && bits + chunks.max(1) <= 64)?;
+                let patterns = match chunks {
+                    0 | 1 => PatternSet::bus_invert(width),
+                    _ => PatternSet::chunked(width, chunks),
+                };
+                let enc = InversionEncoder::new(patterns.clone(), CostModel::new(lambda));
+                pair(name, (enc, InversionDecoder::new(patterns)))
+            }
+            SchemeSpec::Stride(strides) => {
+                fits(engine_fits(width, strides))?;
+                pair(name, stride_codec(StrideConfig::new(width, strides)))
+            }
+            SchemeSpec::Window(entries) => {
+                fits(engine_fits(width, entries))?;
+                pair(name, window_codec(WindowConfig::new(width, entries)))
+            }
+            SchemeSpec::ContextValue {
+                table,
+                shift,
+                divide,
+            } => {
+                fits(engine_fits(width, table + shift))?;
+                let cfg = ContextConfig::new(width, table, shift).with_divide_period(divide);
+                pair(name, context_value_codec(cfg))
+            }
+            SchemeSpec::ContextTransition {
+                table,
+                shift,
+                divide,
+            } => {
+                fits(engine_fits(width, table + shift))?;
+                let cfg = ContextConfig::new(width, table, shift).with_divide_period(divide);
+                pair(name, context_transition_codec(cfg))
+            }
+            SchemeSpec::WorkZone(zones) => {
+                // One hit/miss line plus the zone-id lines beside the data.
+                let id_lines = usize::BITS - (zones - 1).leading_zeros();
+                fits(bits >= 6 && bits + 1 + id_lines <= 64)?;
+                let enc = WorkZoneEncoder::new(width, zones);
+                pair(name, (enc, WorkZoneDecoder::new(width, zones)))
+            }
+            SchemeSpec::Fcm { order, table_bits } => {
+                fits(engine_fits(width, 2))?;
+                pair(name, fcm_codec(FcmConfig::new(width, order, table_bits)))
+            }
+            SchemeSpec::Trained(ref artifact) => {
+                let tables = load_trained(artifact, width).map_err(|err| UnknownScheme {
+                    name: name.to_string(),
+                    artifact: Some(err),
+                })?;
+                pair(name, trained_codec(Arc::new(tables), CostModel::default()))
+            }
+        })
+    }
 }
 
-/// Builds a fresh encoder/decoder pair for the scheme named by its
-/// canonical display name, at the given bus width.
-///
-/// Calling twice with the same arguments yields two independent pairs
-/// in their power-on state — the registry is a factory, not a cache.
+/// Loads the named artifact from the artifact directory and checks it
+/// deploys on a `width` bus.
+fn load_trained(artifact: &str, width: Width) -> Result<TrainedTables, ArtifactError> {
+    let tables = load_named_artifact(&artifact_dir(), artifact)?;
+    let trained_at = tables.width;
+    if trained_at != width {
+        return Err(ArtifactError::Malformed(format!(
+            "artifact {artifact:?} was trained at {trained_at} but the bus is {width}"
+        )));
+    }
+    // The signature prediction, the strides and the codebook are the
+    // engine's candidates.
+    if !engine_fits(width, 1 + tables.strides.len() + tables.codebook.len()) {
+        return Err(ArtifactError::Malformed(format!(
+            "artifact {artifact:?} has more predictions than a {width} bus has codewords"
+        )));
+    }
+    Ok(tables)
+}
+
+/// Builds a fresh encoder/decoder pair for the scheme named `name` on
+/// a `width` bus: [`SchemeSpec`] parsing, then [`SchemeSpec::build`].
+/// The pair and any error carry `name` exactly as given, so front ends
+/// echo the caller's string.
 ///
 /// # Errors
 ///
-/// Returns [`UnknownScheme`] when the name does not match any
-/// [`SCHEME_PATTERNS`] entry, its parameters fail to parse or fall
-/// outside the family's size bound, or the scheme does not fit a
-/// `width` bus.
+/// [`UnknownScheme`] when the name matches no [`SCHEME_PATTERNS`]
+/// entry, a parameter falls outside its family's bound, the scheme does
+/// not fit a `width` bus, or a `trained:` artifact cannot be loaded.
 pub fn scheme_by_name(name: &str, width: Width) -> Result<Transcoder, UnknownScheme> {
-    let unknown = || UnknownScheme {
-        name: name.to_string(),
-        artifact: None,
-    };
-    // `trained:` names carry no parenthesized arguments, so they are
-    // resolved before the family grammar: load the named artifact from
-    // the artifact directory and deploy it.
-    if let Some(artifact) = name.strip_prefix("trained:") {
-        let load = load_named_artifact(&artifact_dir(), artifact).and_then(|tables| {
-            if tables.width != width {
-                Err(ArtifactError::Malformed(format!(
-                    "artifact {artifact:?} was trained at {} but the bus is {width}",
-                    tables.width
-                )))
-            } else {
-                Ok(tables)
-            }
-        });
-        return match load {
-            Ok(tables) => {
-                let (e, d) = trained_codec(Arc::new(tables), CostModel::default());
-                Ok(Transcoder::new(name, e, d))
-            }
-            Err(err) => Err(UnknownScheme {
-                name: name.to_string(),
-                artifact: Some(err),
-            }),
-        };
-    }
-    let (family, args) = family_and_args(name).ok_or_else(unknown)?;
-    let pair = match family {
-        "identity" if args.is_empty() => {
-            Transcoder::new(name, IdentityCodec::new(width), IdentityCodec::new(width))
-        }
-        "window" => {
-            let entries = size(args, MAX_WINDOW_ENTRIES)
-                .filter(|&n| engine_fits(width, n))
-                .ok_or_else(unknown)?;
-            let (e, d) = window_codec(WindowConfig::new(width, entries));
-            Transcoder::new(name, e, d)
-        }
-        "stride" => {
-            let strides = size(args, MAX_STRIDES)
-                .filter(|&n| engine_fits(width, n))
-                .ok_or_else(unknown)?;
-            let (e, d) = stride_codec(StrideConfig::new(width, strides));
-            Transcoder::new(name, e, d)
-        }
-        "context-value" => {
-            let cfg = context_config(width, args).ok_or_else(unknown)?;
-            let (e, d) = context_value_codec(cfg);
-            Transcoder::new(name, e, d)
-        }
-        "context-transition" => {
-            let cfg = context_config(width, args).ok_or_else(unknown)?;
-            let (e, d) = context_transition_codec(cfg);
-            Transcoder::new(name, e, d)
-        }
-        "inversion" => {
-            let (chunks, lambda) = parse_inversion_args(args)
-                .filter(|&(chunks, _)| chunks <= width.bits() && width.bits() + chunks.max(1) <= 64)
-                .ok_or_else(unknown)?;
-            let patterns = if chunks <= 1 {
-                PatternSet::bus_invert(width)
-            } else {
-                PatternSet::chunked(width, chunks)
-            };
-            Transcoder::new(
-                name,
-                InversionEncoder::new(patterns.clone(), CostModel::new(lambda)),
-                InversionDecoder::new(patterns),
-            )
-        }
-        "workzone" => {
-            // One hit/miss line plus the zone-id lines beside the data.
-            let zones = size(args, MAX_ZONES)
-                .filter(|&n| {
-                    let id_lines = usize::BITS - (n - 1).leading_zeros();
-                    width.bits() >= 6 && width.bits() + 1 + id_lines <= 64
-                })
-                .ok_or_else(unknown)?;
-            Transcoder::new(
-                name,
-                WorkZoneEncoder::new(width, zones),
-                WorkZoneDecoder::new(width, zones),
-            )
-        }
-        "fcm" => {
-            let (order, bits) = args.split_once(' ').ok_or_else(unknown)?;
-            let order = size(order, MAX_FCM_ORDER)
-                .filter(|_| engine_fits(width, 2))
-                .ok_or_else(unknown)?;
-            let bits = bits
-                .strip_prefix("2^")
-                .and_then(|b| size(b, MAX_FCM_TABLE_BITS))
-                .ok_or_else(unknown)?;
-            let (e, d) = fcm_codec(FcmConfig::new(width, order, bits));
-            Transcoder::new(name, e, d)
-        }
-        _ => return Err(unknown()),
-    };
-    Ok(pair)
+    name.parse::<SchemeSpec>()?.build_named(name, width)
 }
 
 #[cfg(test)]
@@ -317,8 +450,11 @@ mod tests {
         ];
         let trace = mixed_trace(400);
         for name in names {
-            let mut pair =
-                scheme_by_name(name, Width::W32).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let spec: SchemeSpec = name.parse().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(spec.to_string(), name);
+            let mut pair = spec
+                .build(Width::W32)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(pair.name(), name);
             let (enc, dec) = pair.split_mut();
             verify_roundtrip(enc, dec, &trace).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -463,6 +599,22 @@ mod tests {
 
         // Width mismatch is a typed artifact error, not a panic.
         let err = scheme_by_name("trained:demo", Width::new(16).unwrap()).unwrap_err();
+        assert!(matches!(
+            err.artifact_error(),
+            Some(ArtifactError::Malformed(_))
+        ));
+
+        // So is an artifact offering more predictions than the bus has
+        // codewords: every 8-bit value in the codebook, plus a stride.
+        let w8 = Width::new(8).unwrap();
+        let crowded = TrainedTables {
+            name: "crowded".into(),
+            width: w8,
+            codebook: (0..=255).collect(),
+            ..tables
+        };
+        save_artifact(&crowded, &dir).unwrap();
+        let err = scheme_by_name("trained:crowded", w8).unwrap_err();
         assert!(matches!(
             err.artifact_error(),
             Some(ArtifactError::Malformed(_))

@@ -345,7 +345,7 @@ impl<D: Decoder> Decoder for RecoveringDecoder<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{evaluate, verify_roundtrip};
+    use crate::codec::{evaluate_blocks, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::predict::{stride_codec, window_codec, StrideConfig, WindowConfig};
     use bustrace::Trace;
@@ -418,8 +418,8 @@ mod tests {
     fn epoch_flush_count_matches_interval() {
         let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
         let (mut enc, _dec) = epoch_wrap(enc, dec, 64);
-        let _ = evaluate(&mut enc, &trace(1000));
-        // evaluate() resets first; flushes before words 64, 128, ..., 960.
+        let _ = evaluate_blocks(&mut enc, &trace(1000));
+        // evaluate_blocks() resets first; flushes before words 64, 128, ..., 960.
         assert_eq!(enc.flushes(), 15);
         assert_eq!(enc.interval(), 64);
         enc.reset();

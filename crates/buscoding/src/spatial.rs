@@ -154,7 +154,7 @@ impl Decoder for SpatialCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{evaluate, verify_roundtrip};
+    use crate::codec::{evaluate_blocks, verify_roundtrip};
     use crate::energy::Activity;
 
     #[test]
@@ -243,7 +243,7 @@ mod tests {
             trace.push(x >> 40);
         }
         let spatial = spatial_activity(&trace);
-        let baseline = evaluate(&mut IdentityCodec::new(w), &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(w), &trace);
         // In raw transitions the one-hot bus wins (2 per change vs ~W/2);
         // at 6 bits the margin is small, so compare τ only.
         assert!(spatial.weighted(0.0) < baseline.weighted(0.0));

@@ -5,8 +5,9 @@
 //! Address streams cluster into a few *working zones* (an array being
 //! walked, a stack frame, a hot table). The coder keeps one base
 //! register per zone at each end of the bus. An address that lands
-//! within a zone's 32-word window is transmitted as a **one-hot offset**
-//! on the transition-coded data lines — a single wire toggle — plus the
+//! within a zone's window (32 words, or one per data line on narrower
+//! buses) is transmitted as a **one-hot offset** on the
+//! transition-coded data lines — a single wire toggle — plus the
 //! zone id on a few control lines; anything else is sent raw and
 //! installs a fresh zone (LRU replacement).
 //!
@@ -20,8 +21,8 @@ use bustrace::{Width, Word};
 
 use crate::codec::{Decoder, Encoder, RoundTripError};
 
-/// Words per zone window — one per data line, so a hit's offset is a
-/// single one-hot toggle.
+/// Words per zone window on buses of 32 lines or more. The window never
+/// exceeds the data lines, so a hit's offset is a single one-hot toggle.
 const ZONE_WINDOW: u64 = 32;
 
 /// Control-line encoding: low bit = miss flag; higher bits = zone id.
@@ -67,6 +68,11 @@ impl ZoneState {
         }
     }
 
+    /// Words per zone window: one per data line, at most [`ZONE_WINDOW`].
+    fn window(&self) -> u64 {
+        ZONE_WINDOW.min(u64::from(self.width.bits()))
+    }
+
     fn zone_id_lines(&self) -> u32 {
         usize::BITS - (self.bases.len() - 1).leading_zeros()
     }
@@ -88,7 +94,7 @@ impl ZoneState {
     fn find_zone(&self, addr: Word) -> Option<(usize, u64)> {
         self.bases.iter().enumerate().find_map(|(i, &base)| {
             let offset = addr.wrapping_sub(base) & self.width.mask();
-            (base != Word::MAX && offset < ZONE_WINDOW).then_some((i, offset))
+            (base != Word::MAX && offset < self.window()).then_some((i, offset))
         })
     }
 
@@ -251,7 +257,7 @@ impl Decoder for WorkZoneDecoder {
                 )))
             }
         };
-        if offset >= ZONE_WINDOW {
+        if offset >= s.window() {
             return Err(RoundTripError::new(format!(
                 "offset {offset} outside the zone window"
             )));
@@ -287,7 +293,7 @@ impl fmt::Display for WorkZoneEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{evaluate, verify_roundtrip};
+    use crate::codec::{evaluate_blocks, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::metrics::percent_energy_removed;
     use bustrace::Trace;
@@ -307,6 +313,17 @@ mod tests {
             assert!(toggles <= budget, "hit {i} cost {toggles} toggles");
             prev = next;
         }
+    }
+
+    #[test]
+    fn narrow_buses_keep_the_offset_on_the_data_lines() {
+        // A 16-line bus has a 16-word window: offset 20 must miss
+        // rather than toggle a control line.
+        let w16 = Width::new(16).unwrap();
+        let trace = Trace::from_values(w16, (0..200u64).map(|i| 0x100 + i % 24));
+        let mut enc = WorkZoneEncoder::new(w16, 12);
+        let mut dec = WorkZoneDecoder::new(w16, 12);
+        verify_roundtrip(&mut enc, &mut dec, &trace).unwrap();
     }
 
     #[test]
@@ -383,8 +400,8 @@ mod tests {
         }
         let trace = Trace::from_values(Width::W32, values);
         let mut enc = WorkZoneEncoder::new(Width::W32, 4);
-        let coded = evaluate(&mut enc, &trace);
-        let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+        let coded = evaluate_blocks(&mut enc, &trace);
+        let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
         let removed = percent_energy_removed(&coded, &baseline, 1.0);
         assert!(removed > 60.0, "removed only {removed:.1}%");
     }

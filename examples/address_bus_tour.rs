@@ -6,21 +6,25 @@
 //! cargo run --release --example address_bus_tour
 //! ```
 
-use bench::schemes::{baseline_activity, Scheme};
-use buscoding::percent_energy_removed;
+use bench::schemes::{baseline_activity, CONTEXT28};
+use buscoding::{evaluate_blocks, percent_energy_removed, SchemeSpec};
 use bustrace::stats::stride_hit_fraction;
+use bustrace::Trace;
 use simcpu::{Benchmark, BusKind};
+
+/// Percent of λ = 1 energy `spec` removes from `trace`.
+fn percent_removed(spec: &SchemeSpec, trace: &Trace) -> f64 {
+    let mut pair = spec.build(trace.width()).expect("scheme fits the bus");
+    let coded = evaluate_blocks(pair.encoder_mut(), trace);
+    percent_energy_removed(&coded, &baseline_activity(trace), 1.0)
+}
 
 fn main() {
     let schemes = [
-        Scheme::WorkZone { zones: 4 },
-        Scheme::Stride { strides: 8 },
-        Scheme::Window { entries: 8 },
-        Scheme::ContextValue {
-            table: 28,
-            shift: 8,
-            divide: 4096,
-        },
+        SchemeSpec::WorkZone(4),
+        SchemeSpec::Stride(8),
+        SchemeSpec::Window(8),
+        CONTEXT28,
     ];
     let benchmarks = [
         Benchmark::Swim,
@@ -38,11 +42,11 @@ fn main() {
         print!("{:>10}", b.name());
     }
     println!();
-    for scheme in schemes {
-        print!("{:<28}", scheme.name());
+    for scheme in &schemes {
+        print!("{:<28}", scheme.to_string());
         for b in benchmarks {
             let trace = b.trace(BusKind::Address, 80_000, 5);
-            let removed = scheme.percent_removed(&trace, 1.0);
+            let removed = percent_removed(scheme, &trace);
             print!("{removed:>9.1}%");
         }
         println!();
@@ -70,13 +74,9 @@ fn main() {
     // most strided trace vs the most pointer-heavy one.
     let strided = Benchmark::Swim.trace(BusKind::Address, 80_000, 5);
     let pointered = Benchmark::Gcc.trace(BusKind::Address, 80_000, 5);
-    let wz = Scheme::WorkZone { zones: 4 };
-    let a = percent_energy_removed(&wz.activity(&strided), &baseline_activity(&strided), 1.0);
-    let b = percent_energy_removed(
-        &wz.activity(&pointered),
-        &baseline_activity(&pointered),
-        1.0,
-    );
+    let wz = SchemeSpec::WorkZone(4);
+    let a = percent_removed(&wz, &strided);
+    let b = percent_removed(&wz, &pointered);
     println!();
     println!("workzone on swim (strided): {a:+.1}%   on gcc (pointer-chasing): {b:+.1}%");
     println!("a coder must match the locality class of its traffic.");

@@ -11,7 +11,9 @@
 //! ```
 
 use buscoding::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
-use buscoding::{evaluate, percent_energy_removed, verify_roundtrip, CostModel, IdentityCodec};
+use buscoding::{
+    evaluate_blocks, percent_energy_removed, verify_roundtrip, CostModel, IdentityCodec,
+};
 use bustrace::{Trace, Width, Word};
 
 /// Predicts the last value seen *for the current stream class*, where
@@ -88,15 +90,15 @@ fn main() {
     println!("round-trip: ok ({} values)", trace.len());
 
     // Then effectiveness.
-    let coded = evaluate(&mut enc, &trace);
-    let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
+    let coded = evaluate_blocks(&mut enc, &trace);
+    let baseline = evaluate_blocks(&mut IdentityCodec::new(Width::W32), &trace);
     let removed = percent_energy_removed(&coded, &baseline, 1.0);
     println!("tagged-last-value removes {removed:.1}% of weighted transitions");
 
     // Compare with the paper's window scheme on the same traffic.
     use buscoding::predict::{window_codec, WindowConfig};
     let (mut wenc, _) = window_codec(WindowConfig::new(Width::W32, 8));
-    let wcoded = evaluate(&mut wenc, &trace);
+    let wcoded = evaluate_blocks(&mut wenc, &trace);
     let wremoved = percent_energy_removed(&wcoded, &baseline, 1.0);
     println!("window(8) removes {wremoved:.1}% on the same traffic");
 }

@@ -6,28 +6,25 @@
 //! cargo run --release --example register_bus_study
 //! ```
 
-use bench::schemes::Scheme;
+use bench::schemes::{baseline_activity, CONTEXT28};
+use buscoding::{evaluate_blocks, percent_energy_removed, SchemeSpec};
 use simcpu::{Benchmark, BusKind};
 
 fn main() {
     let schemes = [
-        Scheme::Inversion {
+        SchemeSpec::Inversion {
             chunks: 1,
-            design_lambda: 0.0,
+            lambda: 0.0,
         },
-        Scheme::Inversion {
+        SchemeSpec::Inversion {
             chunks: 6,
-            design_lambda: 1.0,
+            lambda: 1.0,
         },
-        Scheme::Stride { strides: 8 },
-        Scheme::Window { entries: 8 },
-        Scheme::Window { entries: 16 },
-        Scheme::ContextValue {
-            table: 28,
-            shift: 8,
-            divide: 4096,
-        },
-        Scheme::ContextTransition {
+        SchemeSpec::Stride(8),
+        SchemeSpec::Window(8),
+        SchemeSpec::Window(16),
+        CONTEXT28,
+        SchemeSpec::ContextTransition {
             table: 28,
             shift: 8,
             divide: 4096,
@@ -41,10 +38,12 @@ fn main() {
     }
     println!();
     for scheme in schemes {
-        print!("{:<32}", scheme.name());
+        print!("{:<32}", scheme.to_string());
         for b in benchmarks {
             let trace = b.trace(BusKind::Register, 100_000, 7);
-            let removed = scheme.percent_removed(&trace, 1.0);
+            let mut pair = scheme.build(trace.width()).expect("scheme fits the bus");
+            let coded = evaluate_blocks(pair.encoder_mut(), &trace);
+            let removed = percent_energy_removed(&coded, &baseline_activity(&trace), 1.0);
             print!("{removed:>9.1}%");
         }
         println!();

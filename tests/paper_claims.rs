@@ -3,29 +3,35 @@
 //! authors' testbed); these tests pin down the *shape*: who wins, in
 //! which direction effects point, and roughly where knees fall.
 
-use bench::schemes::{baseline_activity, window_outcome, Scheme};
-use buscoding::percent_energy_removed;
+use bench::schemes::{baseline_activity, window_outcome, CONTEXT28};
+use buscoding::{evaluate_blocks, percent_energy_removed, Activity, SchemeSpec};
+use bustrace::Trace;
 use simcpu::{Benchmark, BusKind};
 use wiremodel::{Technology, Wire, WireStyle};
 
 const N: usize = 40_000;
 const SEED: u64 = 11;
 
-fn removed(scheme: Scheme, b: Benchmark, bus: BusKind) -> f64 {
+fn activity(scheme: &SchemeSpec, trace: &Trace) -> Activity {
+    let mut pair = scheme.build(trace.width()).expect("scheme fits the bus");
+    evaluate_blocks(pair.encoder_mut(), trace)
+}
+
+fn removed(scheme: &SchemeSpec, b: Benchmark, bus: BusKind) -> f64 {
     let trace = b.trace(bus, N, SEED);
-    scheme.percent_removed(&trace, 1.0)
+    percent_energy_removed(&activity(scheme, &trace), &baseline_activity(&trace), 1.0)
 }
 
 /// Section 4.4: "the transition-based transcoder does not perform as
 /// well as value-based, given the same amount of hardware".
 #[test]
 fn value_based_beats_transition_based_on_average() {
-    let value = Scheme::ContextValue {
+    let value = SchemeSpec::ContextValue {
         table: 24,
         shift: 8,
         divide: 4096,
     };
-    let transition = Scheme::ContextTransition {
+    let transition = SchemeSpec::ContextTransition {
         table: 24,
         shift: 8,
         divide: 4096,
@@ -39,8 +45,8 @@ fn value_based_beats_transition_based_on_average() {
         Benchmark::Swim,
         Benchmark::Go,
     ] {
-        v_sum += removed(value, b, BusKind::Register);
-        t_sum += removed(transition, b, BusKind::Register);
+        v_sum += removed(&value, b, BusKind::Register);
+        t_sum += removed(&transition, b, BusKind::Register);
     }
     assert!(v_sum > t_sum, "value {v_sum:.1} vs transition {t_sum:.1}");
 }
@@ -54,16 +60,8 @@ fn dictionary_schemes_beat_stride_predictors() {
     let mut stride_sum = 0.0;
     let mut context_sum = 0.0;
     for b in Benchmark::ALL {
-        stride_sum += removed(Scheme::Stride { strides: 16 }, b, BusKind::Register);
-        context_sum += removed(
-            Scheme::ContextValue {
-                table: 28,
-                shift: 8,
-                divide: 4096,
-            },
-            b,
-            BusKind::Register,
-        );
+        stride_sum += removed(&SchemeSpec::Stride(16), b, BusKind::Register);
+        context_sum += removed(&CONTEXT28, b, BusKind::Register);
     }
     assert!(
         context_sum > stride_sum,
@@ -83,9 +81,9 @@ fn window_knee_is_around_eight_entries() {
         Benchmark::Compress,
         Benchmark::Swim,
     ] {
-        let r2 = removed(Scheme::Window { entries: 2 }, b, BusKind::Register);
-        let r8 = removed(Scheme::Window { entries: 8 }, b, BusKind::Register);
-        let r16 = removed(Scheme::Window { entries: 16 }, b, BusKind::Register);
+        let r2 = removed(&SchemeSpec::Window(2), b, BusKind::Register);
+        let r8 = removed(&SchemeSpec::Window(8), b, BusKind::Register);
+        let r16 = removed(&SchemeSpec::Window(16), b, BusKind::Register);
         gain_2_to_8 += r8 - r2;
         gain_8_to_16 += r16 - r8;
     }
@@ -100,15 +98,11 @@ fn window_knee_is_around_eight_entries() {
 /// kernels are synthetic stand-ins.
 #[test]
 fn headline_average_reduction_in_band() {
-    let scheme = Scheme::ContextValue {
-        table: 28,
-        shift: 8,
-        divide: 4096,
-    };
+    let scheme = CONTEXT28;
     let mut sum = 0.0;
     let mut n = 0.0;
     for b in Benchmark::ALL {
-        sum += removed(scheme, b, BusKind::Register);
+        sum += removed(&scheme, b, BusKind::Register);
         n += 1.0;
     }
     let avg = sum / n;
@@ -178,11 +172,13 @@ fn inversion_coder_does_not_break_even_at_30mm() {
         Benchmark::Wave5,
     ] {
         let trace = b.trace(BusKind::Register, N, SEED);
-        let coded = Scheme::Inversion {
-            chunks: 1,
-            design_lambda: 1.0,
-        }
-        .activity(&trace);
+        let coded = activity(
+            &SchemeSpec::Inversion {
+                chunks: 1,
+                lambda: 1.0,
+            },
+            &trace,
+        );
         let baseline = baseline_activity(&trace);
         let o = CodingOutcome::new(
             baseline,
@@ -208,13 +204,13 @@ fn inversion_coder_does_not_break_even_at_30mm() {
 #[test]
 fn random_traffic_overstates_inversion_savings() {
     use bench::workloads::Workload;
-    let scheme = Scheme::Inversion {
+    let scheme = SchemeSpec::Inversion {
         chunks: 6,
-        design_lambda: 0.0,
+        lambda: 0.0,
     };
     let random = Workload::Random.trace(N, SEED);
     let random_removed = {
-        let coded = scheme.activity(&random);
+        let coded = activity(&scheme, &random);
         let baseline = baseline_activity(&random);
         percent_energy_removed(&coded, &baseline, 0.0)
     };
@@ -227,7 +223,7 @@ fn random_traffic_overstates_inversion_savings() {
         Benchmark::Go,
     ] {
         let trace = b.trace(BusKind::Register, N, SEED);
-        let coded = scheme.activity(&trace);
+        let coded = activity(&scheme, &trace);
         let baseline = baseline_activity(&trace);
         real_sum += percent_energy_removed(&coded, &baseline, 0.0);
         n += 1.0;

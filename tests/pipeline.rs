@@ -1,8 +1,8 @@
 //! End-to-end pipeline: kernel → trace → statistics → coding → circuit
 //! energy → crossover, exercising every crate in one flow.
 
-use bench::schemes::{baseline_activity, window_outcome, Scheme};
-use buscoding::percent_energy_removed;
+use bench::schemes::{baseline_activity, window_outcome};
+use buscoding::{evaluate_blocks, percent_energy_removed, SchemeSpec};
 use bustrace::stats::{window_uniqueness, ValueCensus};
 use simcpu::{Benchmark, BusKind};
 use wiremodel::{Technology, Wire, WireStyle};
@@ -21,7 +21,8 @@ fn full_pipeline_on_li_register_bus() {
     assert!(wu < 0.8, "window uniqueness {wu}");
 
     // 3. Coding: the window transcoder removes energy.
-    let coded = Scheme::Window { entries: 8 }.activity(&trace);
+    let mut pair = SchemeSpec::Window(8).build(trace.width()).unwrap();
+    let coded = evaluate_blocks(pair.encoder_mut(), &trace);
     let baseline = baseline_activity(&trace);
     let removed = percent_energy_removed(&coded, &baseline, 1.0);
     assert!(removed > 10.0, "window(8) removed only {removed:.1}%");

@@ -1,6 +1,10 @@
 //! Property tests: every coding scheme decodes losslessly over
 //! arbitrary traffic, at several widths, from synchronized state.
 
+#[allow(dead_code)]
+#[path = "../crates/buscoding/tests/support/specs.rs"]
+mod specs;
+
 use buscoding::inversion::{InversionDecoder, InversionEncoder, PatternSet};
 use buscoding::predict::{
     context_transition_codec, context_value_codec, stride_codec, window_codec, ContextConfig,
@@ -34,6 +38,22 @@ fn widths() -> impl Strategy<Value = Width> {
         Just(Width::W32),
         Just(Width::new(62).unwrap()),
     ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every scheme the registry can serve, across each family's
+    /// parameter bounds and the widths it fits.
+    #[test]
+    fn every_scheme_roundtrips(
+        (width, spec, trace) in specs::buildable()
+            .prop_flat_map(|(w, spec)| (Just(w), Just(spec), trace_strategy(w))),
+    ) {
+        let mut pair = specs::build(&spec, width).expect("buildable");
+        let (enc, dec) = pair.split_mut();
+        verify_roundtrip(enc, dec, &trace).unwrap_or_else(|e| panic!("{spec} at {width}: {e}"));
+    }
 }
 
 proptest! {
