@@ -21,13 +21,12 @@
 //! because a 32-bit bus has 2³² states but nearly 2⁶⁴ arcs, so arc
 //! frequencies are more dilute.
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{
+    cam_find, rank_at, PredictiveDecoder, PredictiveEncoder, Predictor, Ring, ABSENT,
+};
 
 /// Configuration shared by both context-transcoder flavors.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -115,21 +114,33 @@ impl ContextConfig {
 ///
 /// Membership stays a linear scan on purpose: the table tops out at 64
 /// entries (one cache line per eight), which a scan beats any hashed
-/// index at — measured on the figure-20..25 sweeps.
+/// index at — measured on the figure-20..25 sweeps. The scan is the
+/// predictor's rank scan: it also reports where the key sits, and that
+/// slot drives [`record`](Self::record) without a second search.
 #[derive(Debug, Clone)]
-struct FrequencyCore<K: PartialEq + Copy> {
+struct FrequencyCore<K> {
     table_entries: usize,
-    shift_entries: usize,
     divide_period: u64,
     promote_threshold: u64,
     /// Sorted by descending frequency; position is the code rank.
     table: Vec<(K, u64)>,
-    /// Newest staged entry at the back.
-    sr: VecDeque<(K, u64)>,
+    /// The staging shift register.
+    sr: Ring<(K, u64)>,
     seen: u64,
 }
 
-impl<K: PartialEq + Copy> FrequencyCore<K> {
+/// Where the rank scan found a key.
+#[derive(Debug, Clone, Copy)]
+enum Found {
+    /// At this frequency-table position.
+    Table(usize),
+    /// In this staging-register slot.
+    Staged(usize),
+    /// Nowhere: the key is new.
+    New,
+}
+
+impl<K: PartialEq + Copy + Default> FrequencyCore<K> {
     fn new(cfg: &ContextConfig) -> Self {
         assert!(
             cfg.table_entries >= 1,
@@ -141,11 +152,10 @@ impl<K: PartialEq + Copy> FrequencyCore<K> {
         );
         FrequencyCore {
             table_entries: cfg.table_entries,
-            shift_entries: cfg.shift_entries,
             divide_period: cfg.divide_period,
             promote_threshold: cfg.promote_threshold,
             table: Vec::with_capacity(cfg.table_entries),
-            sr: VecDeque::with_capacity(cfg.shift_entries),
+            sr: Ring::new(cfg.shift_entries),
             seen: 0,
         }
     }
@@ -156,40 +166,40 @@ impl<K: PartialEq + Copy> FrequencyCore<K> {
         self.seen = 0;
     }
 
-    /// Records one key observation, maintaining sortedness and staging.
-    fn record(&mut self, key: K) {
+    /// Records one observation of `key`, found at `found`, maintaining
+    /// sortedness and staging.
+    fn record(&mut self, key: K, found: Found) {
         self.seen += 1;
         if self.divide_period > 0 && self.seen.is_multiple_of(self.divide_period) {
+            // Halving keeps the order, so `found` stays valid.
             for e in &mut self.table {
                 e.1 /= 2;
             }
-            for e in &mut self.sr {
+            for e in self.sr.slots_mut() {
                 e.1 /= 2;
             }
         }
-        if let Some(pos) = self.table.iter().position(|e| e.0 == key) {
-            self.table[pos].1 += 1;
-            // Bubble up past entries with strictly lower counts; ties
-            // keep their order (the hardware's pending-bit sort makes
-            // the same guarantee, Section 5.3.1).
-            let mut p = pos;
-            while p > 0 && self.table[p].1 > self.table[p - 1].1 {
-                self.table.swap(p, p - 1);
-                p -= 1;
+        match found {
+            Found::Table(pos) => {
+                self.table[pos].1 += 1;
+                // Bubble up past entries with strictly lower counts; ties
+                // keep their order (the hardware's pending-bit sort makes
+                // the same guarantee, Section 5.3.1).
+                let mut p = pos;
+                while p > 0 && self.table[p].1 > self.table[p - 1].1 {
+                    self.table.swap(p, p - 1);
+                    p -= 1;
+                }
             }
-            return;
+            Found::Staged(slot) => self.sr.slots_mut()[slot].1 += 1,
+            // New key: stage it; a full shift register evicts its oldest
+            // entry, which gets one shot at promotion into the table.
+            Found::New => {
+                if let Some((exit_key, exit_count)) = self.sr.push((key, 1)) {
+                    self.maybe_promote(exit_key, exit_count);
+                }
+            }
         }
-        if let Some(e) = self.sr.iter_mut().find(|e| e.0 == key) {
-            e.1 += 1;
-            return;
-        }
-        // New key: stage it; a full shift register evicts its oldest
-        // entry, which gets one shot at promotion into the table.
-        if self.sr.len() == self.shift_entries {
-            let (exit_key, exit_count) = self.sr.pop_front().expect("non-empty");
-            self.maybe_promote(exit_key, exit_count);
-        }
-        self.sr.push_back((key, 1));
     }
 
     fn maybe_promote(&mut self, key: K, count: u64) {
@@ -244,62 +254,59 @@ impl Predictor for ValueContextPredictor {
     fn name(&self) -> String {
         format!(
             "context-value({}+{})",
-            self.core.table_entries, self.core.shift_entries
+            self.core.table_entries,
+            self.core.sr.capacity()
         )
     }
 
     fn max_candidates(&self) -> usize {
-        self.core.table_entries + self.core.shift_entries
+        self.core.table_entries + self.core.sr.capacity()
     }
 
     fn candidate(&self, index: usize) -> Option<Word> {
-        if index < self.core.table.len() {
-            return Some(self.core.table[index].0);
+        match self.core.table.get(index) {
+            Some(&(value, _)) => Some(value),
+            None => self.core.sr.get(index - self.core.table.len()).map(|e| e.0),
         }
-        let j = index - self.core.table.len();
-        let n = self.core.sr.len();
-        if j < n {
-            Some(self.core.sr[n - 1 - j].0)
-        } else {
-            None
-        }
-    }
-
-    /// Flat scan over the table then the staged values, newest first —
-    /// the same order [`candidate`](Predictor::candidate) exposes, with
-    /// one bounds check per structure instead of one dynamic lookup per
-    /// candidate.
-    fn rank_of(&self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
-        let mut rank = 1usize;
-        for &(k, _) in &self.core.table {
-            if rank >= cap {
-                return None;
-            }
-            if Some(k) == last {
-                continue;
-            }
-            if k == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        for &(k, _) in self.core.sr.iter().rev() {
-            if rank >= cap {
-                return None;
-            }
-            if Some(k) == last {
-                continue;
-            }
-            if k == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        None
     }
 
     fn observe(&mut self, value: Word) {
-        self.core.record(value);
+        self.step(value, None, 0);
+    }
+
+    /// Compare passes over the table; only a value not in the table
+    /// needs those over the staging register (whose entries rank after
+    /// the whole table, newest first). Without a LAST, `value` stands in
+    /// for it: at `value`'s own position it never counts as in front.
+    #[inline]
+    fn step(&mut self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
+        let core = &mut self.core;
+        let key = |e: (Word, u64)| e.0;
+        let last_key = last.unwrap_or(value);
+        let in_table = cam_find(&core.table, key, value);
+        let last_in_table = cam_find(&core.table, key, last_key);
+        let (found, value_at, last_at) = if in_table != ABSENT {
+            (Found::Table(in_table), in_table, last_in_table)
+        } else {
+            let staged = cam_find(core.sr.slots(), key, value);
+            let last_staged = cam_find(core.sr.slots(), key, last_key);
+            let order = |slot| {
+                if slot == ABSENT {
+                    ABSENT
+                } else {
+                    core.table.len() + core.sr.back_from_newest(slot)
+                }
+            };
+            let last_at = last_in_table.min(order(last_staged));
+            if staged == ABSENT {
+                (Found::New, ABSENT, last_at)
+            } else {
+                (Found::Staged(staged), order(staged), last_at)
+            }
+        };
+        let rank = rank_at(value_at, last_at, last == Some(value), cap);
+        core.record(value, found);
+        rank
     }
 
     fn reset(&mut self) {
@@ -314,14 +321,6 @@ impl Predictor for ValueContextPredictor {
 pub struct TransitionContextPredictor {
     core: FrequencyCore<(Word, Word)>,
     last: Option<Word>,
-    /// Successors of `last`, rebuilt lazily at the first candidate
-    /// lookup after an observation (interior mutability because
-    /// [`Predictor::candidate`] takes `&self`). A rank-0 hit — a
-    /// repeated word — never consults candidates, so repeat runs skip
-    /// the table walk entirely; the rebuilt list is identical either
-    /// way because nothing mutates between `observe` and the lookup.
-    current: RefCell<Vec<Word>>,
-    stale: Cell<bool>,
 }
 
 impl TransitionContextPredictor {
@@ -330,26 +329,20 @@ impl TransitionContextPredictor {
         TransitionContextPredictor {
             core: FrequencyCore::new(cfg),
             last: None,
-            current: RefCell::new(Vec::new()),
-            stale: Cell::new(false),
         }
     }
 
-    fn rebuild_candidates(&self) {
-        let mut current = self.current.borrow_mut();
-        current.clear();
-        self.stale.set(false);
-        let Some(last) = self.last else { return };
-        for &((prev, next), _) in &self.core.table {
-            if prev == last {
-                current.push(next);
-            }
-        }
-        for &((prev, next), _) in self.core.sr.iter().rev() {
-            if prev == last {
-                current.push(next);
-            }
-        }
+    /// The arcs leaving `from`, each with its slot, in candidate order:
+    /// the table (hottest first), then the staging register (newest
+    /// first).
+    fn successors(&self, from: Word) -> impl Iterator<Item = (Found, Word)> + '_ {
+        let table = self.core.table.iter().enumerate();
+        let staged = self.core.sr.newest_first();
+        table
+            .map(|(pos, &(arc, _))| (Found::Table(pos), arc))
+            .chain(staged.map(|(slot, (arc, _))| (Found::Staged(slot), arc)))
+            .filter(move |&(_, (prev, _))| prev == from)
+            .map(|(slot, (_, next))| (slot, next))
     }
 }
 
@@ -357,56 +350,49 @@ impl Predictor for TransitionContextPredictor {
     fn name(&self) -> String {
         format!(
             "context-transition({}+{})",
-            self.core.table_entries, self.core.shift_entries
+            self.core.table_entries,
+            self.core.sr.capacity()
         )
     }
 
     fn max_candidates(&self) -> usize {
-        self.core.table_entries + self.core.shift_entries
+        self.core.table_entries + self.core.sr.capacity()
     }
 
     fn candidate(&self, index: usize) -> Option<Word> {
-        if self.stale.get() {
-            self.rebuild_candidates();
-        }
-        self.current.borrow().get(index).copied()
-    }
-
-    /// One borrow of the rebuilt successor list instead of a
-    /// borrow-and-check per candidate.
-    fn rank_of(&self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
-        if self.stale.get() {
-            self.rebuild_candidates();
-        }
-        let mut rank = 1usize;
-        for &k in self.current.borrow().iter() {
-            if rank >= cap {
-                return None;
-            }
-            if Some(k) == last {
-                continue;
-            }
-            if k == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        None
+        let (_, next) = self.successors(self.last?).nth(index)?;
+        Some(next)
     }
 
     fn observe(&mut self, value: Word) {
-        if let Some(last) = self.last {
-            self.core.record((last, value));
+        self.step(value, None, 0);
+    }
+
+    /// One pass over the successors of the previous value: their order
+    /// gives the rank, and the arc to `value` among them is the slot the
+    /// update bumps.
+    #[inline]
+    fn step(&mut self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
+        let mut found = Found::New;
+        let (mut value_at, mut last_at) = (ABSENT, ABSENT);
+        if let Some(prev) = self.last {
+            for (n, (slot, next)) in self.successors(prev).enumerate() {
+                if next == value && value_at == ABSENT {
+                    (value_at, found) = (n, slot);
+                }
+                if Some(next) == last && last_at == ABSENT {
+                    last_at = n;
+                }
+            }
+            self.core.record((prev, value), found);
         }
         self.last = Some(value);
-        self.stale.set(true);
+        rank_at(value_at, last_at, last == Some(value), cap)
     }
 
     fn reset(&mut self) {
         self.core.reset();
         self.last = None;
-        self.current.borrow_mut().clear();
-        self.stale.set(false);
     }
 }
 

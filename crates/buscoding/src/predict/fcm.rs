@@ -14,12 +14,10 @@
 //! combination of multiple prediction strategies" Figure 2 of the paper
 //! anticipates feeding the transcoder.
 
-use std::collections::VecDeque;
-
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{rank_among, History, PredictiveDecoder, PredictiveEncoder, Predictor};
 
 /// Configuration of the FCM/DFCM transcoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,14 +66,23 @@ pub struct FcmPredictor {
     width: Width,
     order: usize,
     mask: usize,
-    /// Last `order` values, newest at the back.
-    history: VecDeque<Word>,
-    /// Last `order` deltas, newest at the back.
-    deltas: VecDeque<Word>,
+    /// Last `order` values, oldest first.
+    history: History,
+    /// Last `order` deltas, oldest first.
+    deltas: History,
     /// FCM table: hash of value history -> predicted next value.
     value_table: Vec<Option<Word>>,
     /// DFCM table: hash of delta history -> predicted next delta.
     delta_table: Vec<Option<Word>>,
+}
+
+/// The table slots the current contexts hash to (`None` until a context
+/// holds `order` words). Both the lookup and the training write of one
+/// word use the same slots, so each context is hashed once per word.
+#[derive(Debug, Clone, Copy)]
+struct Contexts {
+    value: Option<usize>,
+    delta: Option<usize>,
 }
 
 impl FcmPredictor {
@@ -95,8 +102,8 @@ impl FcmPredictor {
             width: cfg.width,
             order: cfg.order,
             mask: size - 1,
-            history: VecDeque::with_capacity(cfg.order),
-            deltas: VecDeque::with_capacity(cfg.order),
+            history: History::new(cfg.order),
+            deltas: History::new(cfg.order),
             value_table: vec![None; size],
             delta_table: vec![None; size],
         }
@@ -104,37 +111,52 @@ impl FcmPredictor {
 
     /// Order-preserving hash of a word sequence into the table index
     /// space (Fowler–Noll–Vo over the bytes that matter).
-    fn hash<I: Iterator<Item = Word>>(&self, items: I) -> usize {
+    fn hash(&self, items: &[Word]) -> usize {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for v in items {
+        for &v in items {
             h ^= v;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         ((h >> 24) as usize) & self.mask
     }
 
-    fn value_context_ready(&self) -> bool {
-        self.history.len() >= self.order
-    }
-
-    fn delta_context_ready(&self) -> bool {
-        self.deltas.len() >= self.order
-    }
-
-    fn fcm_prediction(&self) -> Option<Word> {
-        if !self.value_context_ready() {
-            return None;
+    fn contexts(&self) -> Contexts {
+        let slot = |context: &History| {
+            let words = context.recent();
+            (words.len() >= self.order).then(|| self.hash(words))
+        };
+        Contexts {
+            value: slot(&self.history),
+            delta: slot(&self.deltas),
         }
-        self.value_table[self.hash(self.history.iter().copied())]
     }
 
-    fn dfcm_prediction(&self) -> Option<Word> {
-        if !self.delta_context_ready() {
-            return None;
+    /// The candidate list for the given contexts: FCM's prediction (or
+    /// DFCM's when FCM has none), then DFCM's.
+    fn predictions(&self, at: Contexts) -> impl Iterator<Item = Word> {
+        let fcm = at.value.and_then(|h| self.value_table[h]);
+        let dfcm = at.delta.and_then(|h| {
+            let delta = self.delta_table[h]?;
+            let last = *self.history.recent().last()?;
+            Some(self.width.truncate(last.wrapping_add(delta)))
+        });
+        [fcm.or(dfcm), dfcm].into_iter().map_while(|c| c)
+    }
+
+    /// Trains both tables on the contexts that *preceded* `value`, then
+    /// shifts it (and its delta) into the histories.
+    fn train(&mut self, at: Contexts, value: Word) {
+        if let Some(h) = at.value {
+            self.value_table[h] = Some(value);
         }
-        let delta = self.delta_table[self.hash(self.deltas.iter().copied())]?;
-        let last = *self.history.back()?;
-        Some(self.width.truncate(last.wrapping_add(delta)))
+        if let Some(&last) = self.history.recent().last() {
+            let delta = self.width.truncate(value.wrapping_sub(last));
+            if let Some(h) = at.delta {
+                self.delta_table[h] = Some(delta);
+            }
+            self.deltas.push(delta);
+        }
+        self.history.push(value);
     }
 }
 
@@ -152,34 +174,19 @@ impl Predictor for FcmPredictor {
     }
 
     fn candidate(&self, index: usize) -> Option<Word> {
-        match index {
-            0 => self.fcm_prediction().or_else(|| self.dfcm_prediction()),
-            1 => self.dfcm_prediction(),
-            _ => None,
-        }
+        self.predictions(self.contexts()).nth(index)
     }
 
     fn observe(&mut self, value: Word) {
-        // Train both tables on the context that *preceded* this value.
-        if self.value_context_ready() {
-            let h = self.hash(self.history.iter().copied());
-            self.value_table[h] = Some(value);
-        }
-        if let Some(&last) = self.history.back() {
-            let delta = self.width.truncate(value.wrapping_sub(last));
-            if self.delta_context_ready() {
-                let h = self.hash(self.deltas.iter().copied());
-                self.delta_table[h] = Some(delta);
-            }
-            if self.deltas.len() == self.order {
-                self.deltas.pop_front();
-            }
-            self.deltas.push_back(delta);
-        }
-        if self.history.len() == self.order {
-            self.history.pop_front();
-        }
-        self.history.push_back(value);
+        self.train(self.contexts(), value);
+    }
+
+    #[inline]
+    fn step(&mut self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
+        let at = self.contexts();
+        let rank = rank_among(self.predictions(at), value, last, cap);
+        self.train(at, value);
+        rank
     }
 
     fn reset(&mut self) {

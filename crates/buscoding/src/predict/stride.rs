@@ -6,12 +6,10 @@
 //! are more often right, so they are ranked first and earn the cheaper
 //! codes; the LAST-value predictor (rank 0) is supplied by the engine.
 
-use std::collections::VecDeque;
-
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{rank_among, History, PredictiveDecoder, PredictiveEncoder, Predictor};
 
 /// Configuration of a strided transcoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,8 +50,8 @@ impl StrideConfig {
 pub struct StridePredictor {
     width: Width,
     strides: usize,
-    /// Most recent value at the back; capacity `2 * strides`.
-    history: VecDeque<Word>,
+    /// The last `2 * strides` values, oldest first.
+    history: History,
 }
 
 impl StridePredictor {
@@ -67,7 +65,7 @@ impl StridePredictor {
         StridePredictor {
             width,
             strides,
-            history: VecDeque::with_capacity(2 * strides),
+            history: History::new(2 * strides),
         }
     }
 
@@ -76,18 +74,28 @@ impl StridePredictor {
         self.strides
     }
 
-    /// Prediction of the stride-`k` unit, if enough history exists.
-    fn predict_stride(&self, k: usize) -> Option<Word> {
-        let n = self.history.len();
-        if n < 2 * k {
-            return None;
-        }
-        let recent = self.history[n - k];
-        let older = self.history[n - 2 * k];
-        Some(
-            self.width
-                .truncate(recent.wrapping_add(recent.wrapping_sub(older))),
-        )
+    /// The candidate list: stride `k` predicts `v[t-k] + (v[t-k] -
+    /// v[t-2k])`, best (lowest `k`) first, each computed once.
+    ///
+    /// Ranks must stay dense: while history is too short for stride `k`,
+    /// it offers the most recent value instead of truncating the list.
+    /// That placeholder is harmless — the engine skips candidates equal
+    /// to LAST.
+    fn predictions(&self) -> impl Iterator<Item = Word> + '_ {
+        let history = self.history.recent();
+        let n = history.len();
+        (1..=self.strides).map_while(move |k| {
+            if n >= 2 * k {
+                let recent = history[n - k];
+                let older = history[n - 2 * k];
+                Some(
+                    self.width
+                        .truncate(recent.wrapping_add(recent.wrapping_sub(older))),
+                )
+            } else {
+                history.last().copied()
+            }
+        })
     }
 }
 
@@ -101,56 +109,19 @@ impl Predictor for StridePredictor {
     }
 
     fn candidate(&self, index: usize) -> Option<Word> {
-        let k = index + 1;
-        if k > self.strides {
-            return None;
-        }
-        // Ranks must stay dense: report a placeholder prediction (the
-        // oldest-possible fallback of "no movement") while history is
-        // short, rather than truncating the list. Using the most recent
-        // value keeps the candidate harmless — the engine skips
-        // candidates equal to LAST.
-        match self.predict_stride(k) {
-            Some(p) => Some(p),
-            None => self.history.back().copied(),
-        }
-    }
-
-    /// Same bank walk as [`candidate`](Predictor::candidate) with the
-    /// history length and the short-history fallback hoisted out of the
-    /// per-stride step.
-    fn rank_of(&self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
-        let n = self.history.len();
-        let fallback = self.history.back().copied();
-        let mut rank = 1usize;
-        for k in 1..=self.strides {
-            if rank >= cap {
-                return None;
-            }
-            let c = if n >= 2 * k {
-                let recent = self.history[n - k];
-                let older = self.history[n - 2 * k];
-                self.width
-                    .truncate(recent.wrapping_add(recent.wrapping_sub(older)))
-            } else {
-                fallback?
-            };
-            if Some(c) == last {
-                continue;
-            }
-            if c == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        None
+        self.predictions().nth(index)
     }
 
     fn observe(&mut self, value: Word) {
-        if self.history.len() == 2 * self.strides {
-            self.history.pop_front();
-        }
-        self.history.push_back(value);
+        self.history.push(value);
+    }
+
+    /// Walks the bank once, then shifts the value into the history.
+    #[inline]
+    fn step(&mut self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
+        let rank = rank_among(self.predictions(), value, last, cap);
+        self.history.push(value);
+        rank
     }
 
     fn reset(&mut self) {

@@ -6,12 +6,12 @@
 //! (the 8-entry, 0.13 µm layout of Figure 33), because it needs no
 //! counters, no sorting, and no swapping — just matching and shifting.
 
-use std::collections::VecDeque;
-
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{
+    cam_find, rank_at, PredictiveDecoder, PredictiveEncoder, Predictor, Ring, ABSENT,
+};
 
 /// Configuration of a window-based transcoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,9 +50,12 @@ impl WindowConfig {
 /// The unique-value shift register.
 #[derive(Debug, Clone)]
 pub struct WindowPredictor {
-    entries: usize,
-    /// Newest value at the back. All values distinct.
-    window: VecDeque<Word>,
+    /// All values distinct. A miss overwrites the oldest slot; a hit
+    /// moves nothing (the hardware is pointer-based, Figure 30).
+    window: Ring<Word>,
+    /// The value the previous step observed and the slot it sits in:
+    /// the engine's LAST on the next step, located without a search.
+    seen: Option<(Word, usize)>,
 }
 
 impl WindowPredictor {
@@ -64,75 +67,74 @@ impl WindowPredictor {
     pub fn new(entries: usize) -> Self {
         assert!(entries >= 1, "the window needs at least one entry");
         WindowPredictor {
-            entries,
-            window: VecDeque::with_capacity(entries),
+            window: Ring::new(entries),
+            seen: None,
         }
     }
 
     /// Capacity of the shift register.
     pub fn entries(&self) -> usize {
-        self.entries
+        self.window.capacity()
     }
 
     /// Current contents, newest first.
     pub fn contents(&self) -> impl Iterator<Item = Word> + '_ {
-        self.window.iter().rev().copied()
+        self.window.newest_first().map(|(_, value)| value)
     }
 }
 
 impl Predictor for WindowPredictor {
     fn name(&self) -> String {
-        format!("window({})", self.entries)
+        format!("window({})", self.entries())
     }
 
     fn max_candidates(&self) -> usize {
-        self.entries
+        self.entries()
     }
 
     fn candidate(&self, index: usize) -> Option<Word> {
         // Newest entries are likeliest to recur: rank them first.
-        let n = self.window.len();
-        if index < n {
-            Some(self.window[n - 1 - index])
-        } else {
-            None
-        }
-    }
-
-    /// Flat newest-first scan of the shift register — same order as
-    /// [`candidate`](Predictor::candidate) without a length check per
-    /// candidate.
-    fn rank_of(&self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
-        let mut rank = 1usize;
-        for &k in self.window.iter().rev() {
-            if rank >= cap {
-                return None;
-            }
-            if Some(k) == last {
-                continue;
-            }
-            if k == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        None
+        self.window.get(index)
     }
 
     fn observe(&mut self, value: Word) {
-        if self.window.contains(&value) {
-            // A plain shift register of unique values: hits do not
-            // reorder entries (the hardware is pointer-based, Figure 30).
-            return;
-        }
-        if self.window.len() == self.entries {
-            self.window.pop_front();
-        }
-        self.window.push_back(value);
+        self.step(value, None, 0);
+    }
+
+    /// One compare pass over every slot finds the value; LAST is where
+    /// the previous step left it. The candidate order is age order, so
+    /// the rank is the value's age plus one, less one if LAST is newer.
+    /// A miss shifts the value in.
+    #[inline(always)]
+    fn step(&mut self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
+        let slots = self.window.slots();
+        let value_at = cam_find(slots, |k| k, value);
+        let last_at = match (last, self.seen) {
+            (Some(last), Some((seen, slot))) if last == seen => slot,
+            (Some(last), _) => cam_find(slots, |k| k, last),
+            (None, _) => ABSENT,
+        };
+        let age = |slot| {
+            if slot == ABSENT {
+                ABSENT
+            } else {
+                self.window.back_from_newest(slot)
+            }
+        };
+        let rank = rank_at(age(value_at), age(last_at), last == Some(value), cap);
+        let slot = if value_at == ABSENT {
+            self.window.push(value);
+            self.window.back_from_newest(0)
+        } else {
+            value_at
+        };
+        self.seen = Some((value, slot));
+        rank
     }
 
     fn reset(&mut self) {
         self.window.clear();
+        self.seen = None;
     }
 }
 

@@ -167,6 +167,25 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn bulk_observations_equal_repeated_ones() {
+        let _g = guard();
+        set_enabled(true);
+        let one = histogram("test.hist.one_by_one", &[1, 4]);
+        let bulk = histogram("test.hist.bulk", &[1, 4]);
+        for (v, n) in [(0, 3), (3, 2), (9, 4)] {
+            for _ in 0..n {
+                one.observe(v);
+            }
+            bulk.observe_n(v, n);
+        }
+        set_enabled(false);
+        let snap = snapshot();
+        let kind = |name: &str| snap.iter().find(|s| s.name == name).unwrap().kind.clone();
+        assert_eq!(kind("test.hist.one_by_one"), kind("test.hist.bulk"));
+        assert_eq!((bulk.count(), bulk.sum()), (9, 42));
+    }
+
+    #[test]
     fn spans_nest_into_slash_paths() {
         let _g = guard();
         set_enabled(true);

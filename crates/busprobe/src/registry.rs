@@ -123,6 +123,13 @@ pub struct Histogram {
 impl Histogram {
     /// Records one observation if metrics are enabled.
     pub fn observe(&self, value: u64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Records `n` observations of `value` if metrics are enabled — the
+    /// same as `n` calls to [`observe`](Self::observe), for callers that
+    /// tally locally and flush in bulk.
+    pub fn observe_n(&self, value: u64, n: u64) {
         if !enabled() {
             return;
         }
@@ -132,9 +139,11 @@ impl Histogram {
             .iter()
             .position(|&b| value <= b)
             .unwrap_or(self.cell.bounds.len());
-        self.cell.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.cell.count.fetch_add(1, Ordering::Relaxed);
-        self.cell.sum.fetch_add(value, Ordering::Relaxed);
+        self.cell.buckets[idx].fetch_add(n, Ordering::Relaxed);
+        self.cell.count.fetch_add(n, Ordering::Relaxed);
+        self.cell
+            .sum
+            .fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
     }
 
     /// Observations recorded so far.
@@ -255,10 +264,15 @@ impl StaticHistogram {
 
     /// Records one observation if metrics are enabled.
     pub fn observe(&self, value: u64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Records `n` observations of `value` if metrics are enabled.
+    pub fn observe_n(&self, value: u64, n: u64) {
         if enabled() {
             self.cell
                 .get_or_init(|| histogram(self.name, self.bounds))
-                .observe(value);
+                .observe_n(value, n);
         }
     }
 }
