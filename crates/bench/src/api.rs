@@ -1112,6 +1112,129 @@ mod tests {
         ));
     }
 
+    /// Keys and strings a request might carry, so arbitrary bodies
+    /// reach every field parser rather than failing on the first
+    /// missing key.
+    const KEYS: &[&str] = &[
+        "schemes",
+        "workload",
+        "trace",
+        "width",
+        "words",
+        "lambda",
+        "pricing",
+        "tech",
+        "style",
+        "length_mm",
+        "vdd",
+        "len",
+        "cap",
+        "seed",
+        "",
+    ];
+    const STRINGS: &[&str] = &[
+        "identity",
+        "window(8)",
+        "random",
+        "phased/0",
+        "phased/4096",
+        "gcc/register",
+        "mixed/gcc+perl/register/0",
+        "0.13um",
+        "repeated",
+        "unbuffered",
+        "",
+        "λ",
+    ];
+    const INTS: &[i64] = &[0, 1, 8, 32, 62, 64, 65, 99, -1, i64::MAX, i64::MIN, 1 << 40];
+
+    fn pick<T: Copy>(rng: &mut proptest::TestRng, from: &[T]) -> T {
+        from[rng.below(from.len() as u64) as usize]
+    }
+
+    /// An object over a random subset of [`KEYS`].
+    fn arbitrary_object(rng: &mut proptest::TestRng, depth: u32) -> JsonValue {
+        let mut pairs = Vec::new();
+        for &key in KEYS {
+            if rng.below(3) == 0 {
+                pairs.push((key.to_string(), arbitrary_field(rng, key, depth)));
+            }
+        }
+        JsonValue::Obj(pairs)
+    }
+
+    /// A value for `key`: usually of the type the field wants (at the
+    /// edges of its range), otherwise anything.
+    fn arbitrary_field(rng: &mut proptest::TestRng, key: &str, depth: u32) -> JsonValue {
+        if rng.below(4) == 0 || depth == 0 {
+            return arbitrary_json(rng, depth);
+        }
+        match key {
+            "schemes" => JsonValue::Arr(
+                (0..=rng.below(3))
+                    .map(|_| JsonValue::Str(pick(rng, STRINGS).into()))
+                    .collect(),
+            ),
+            "trace" | "pricing" => arbitrary_object(rng, depth - 1),
+            "words" => JsonValue::Arr(
+                (0..rng.below(5))
+                    .map(|_| JsonValue::Int(pick(rng, INTS)))
+                    .collect(),
+            ),
+            "lambda" | "length_mm" | "vdd" => JsonValue::Num(pick(rng, &[0.5, 2.0, -1.0, 1e300])),
+            "workload" | "tech" | "style" | "" => JsonValue::Str(pick(rng, STRINGS).into()),
+            _ => JsonValue::Int(pick(rng, INTS)),
+        }
+    }
+
+    /// Any JSON value, nested at most `depth` deep.
+    fn arbitrary_json(rng: &mut proptest::TestRng, depth: u32) -> JsonValue {
+        match rng.below(if depth == 0 { 6 } else { 8 }) {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(rng.below(2) == 1),
+            2 => JsonValue::Int(pick(rng, INTS)),
+            3 => JsonValue::Int(rng.next_u64() as i64),
+            4 => JsonValue::Num(pick(rng, &[0.5, -0.0, 1e300, -2.5, f64::MIN_POSITIVE])),
+            5 => JsonValue::Str(pick(rng, STRINGS).into()),
+            6 => JsonValue::Arr(
+                (0..rng.below(5))
+                    .map(|_| arbitrary_json(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => arbitrary_object(rng, depth - 1),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        // Arbitrary bodies parse to a request or a typed error, never a
+        // panic, and an accepted request stays within the size cap.
+        #[test]
+        fn arbitrary_bodies_are_requests_or_typed_errors(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = proptest::TestRng::deterministic(&seed.to_string());
+            let mut body = arbitrary_object(&mut rng, 3);
+            if let JsonValue::Obj(pairs) = &mut body {
+                if rng.below(8) > 0 && !pairs.iter().any(|(k, _)| k == "schemes") {
+                    pairs.push(("schemes".into(), arbitrary_field(&mut rng, "schemes", 3)));
+                }
+            }
+            match EvalRequest::from_json(&body) {
+                Ok(req) => match req.source {
+                    TraceSource::Inline { words, .. } => {
+                        proptest::prop_assert!(words.len() <= MAX_INLINE_WORDS);
+                    }
+                    TraceSource::Stored { len, .. } => {
+                        proptest::prop_assert!(len.unwrap_or(0) <= MAX_INLINE_WORDS);
+                    }
+                },
+                Err(e) => {
+                    let _ = ServiceError::from(e);
+                }
+            }
+        }
+    }
+
     #[test]
     fn service_verbs_answer_over_handle() {
         let service = ApiService::new(session());

@@ -8,7 +8,6 @@
 //! whose toggles couple to only one neighbor, then weight-two vectors
 //! with the toggling wires spread apart, and so on.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::energy::CostModel;
@@ -18,8 +17,9 @@ use crate::energy::CostModel;
 /// Entry `r` is the bus transition vector assigned to prediction rank
 /// `r`; entry 0 is always the all-zero vector. The ordering is
 /// non-decreasing in λ-weighted cost and deterministic (ties broken by
-/// numeric value), so encoder and decoder independently construct
-/// identical books.
+/// numeric value). A predictive encoder/decoder pair shares one build
+/// (the decoder gets a clone); books built independently from the same
+/// arguments are still identical.
 ///
 /// # Example
 ///
@@ -35,7 +35,9 @@ use crate::energy::CostModel;
 pub struct CodeBook {
     lines: u32,
     codes: Vec<u64>,
-    ranks: HashMap<u64, usize>,
+    /// `(codeword, rank)` sorted by codeword: the decoder's inverse of
+    /// `codes`, searched by bisection.
+    ranks: Vec<(u64, u32)>,
 }
 
 impl CodeBook {
@@ -68,37 +70,56 @@ impl CodeBook {
         // couples less than an isolated interior toggle), so classes are
         // gathered until the cheapest *possible* cost of the next class —
         // its weight, since κ ≥ 0 — exceeds the count-th smallest cost
-        // seen so far; a global sort then finishes the job.
+        // seen so far. Each word is scored once, when its class is
+        // pushed; the count-th smallest cost and the final cut are
+        // selections, and only the kept `count` words are sorted.
+        // `(cost, value)` is a total order over distinct words, so the
+        // result is the prefix a full sort of the pool would give.
+        let by_cost_then_value = |a: &(f64, u64), b: &(f64, u64)| {
+            a.0.partial_cmp(&b.0)
+                .expect("costs are finite")
+                .then(a.1.cmp(&b.1))
+        };
         let mut pool: Vec<u64> = Vec::with_capacity(count * 2);
+        let mut scored: Vec<(f64, u64)> = Vec::with_capacity(count * 2);
         let mut weight = 0u32;
         while weight <= lines {
             Self::push_weight_class(lines, weight, &mut pool, count);
-            if pool.len() >= count {
-                let mut costs: Vec<f64> =
-                    pool.iter().map(|&c| cost.vector_cost(c, lines)).collect();
-                costs.sort_by(|a, b| a.partial_cmp(b).expect("costs are finite"));
-                if f64::from(weight + 1) > costs[count - 1] {
+            scored.extend(
+                pool[scored.len()..]
+                    .iter()
+                    .map(|&c| (cost.vector_cost(c, lines), c)),
+            );
+            if scored.len() >= count {
+                let (_, nth, _) = scored.select_nth_unstable_by(count - 1, by_cost_then_value);
+                if f64::from(weight + 1) > nth.0 {
                     break;
                 }
             }
             weight += 1;
         }
-        let mut scored: Vec<(f64, u64)> = pool
-            .into_iter()
-            .map(|c| (cost.vector_cost(c, lines), c))
-            .collect();
-        scored.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("costs are finite")
-                .then(a.1.cmp(&b.1))
-        });
-        let codes: Vec<u64> = scored.into_iter().take(count).map(|(_, c)| c).collect();
         assert!(
-            codes.len() == count,
+            scored.len() >= count,
             "internal enumeration produced {} < {count} codewords",
-            codes.len()
+            scored.len()
         );
-        let ranks = codes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        if scored.len() > count {
+            scored.select_nth_unstable_by(count - 1, by_cost_then_value);
+            scored.truncate(count);
+        }
+        scored.sort_unstable_by(by_cost_then_value);
+        let codes: Vec<u64> = scored.into_iter().map(|(_, c)| c).collect();
+        let mut ranks: Vec<(u64, u32)> = codes
+            .iter()
+            .enumerate()
+            .map(|(rank, &c)| {
+                (
+                    c,
+                    u32::try_from(rank).expect("a codebook has under 2^32 ranks"),
+                )
+            })
+            .collect();
+        ranks.sort_unstable_by_key(|&(c, _)| c);
         CodeBook {
             lines,
             codes,
@@ -182,7 +203,11 @@ impl CodeBook {
         static UNKNOWN: busprobe::StaticCounter =
             busprobe::StaticCounter::new("buscoding.codebook.unknown");
         LOOKUPS.inc();
-        let rank = self.ranks.get(&code).copied();
+        let rank = self
+            .ranks
+            .binary_search_by_key(&code, |&(c, _)| c)
+            .ok()
+            .map(|at| self.ranks[at].1 as usize);
         if rank.is_none() {
             UNKNOWN.inc();
         }
@@ -209,6 +234,87 @@ impl fmt::Display for CodeBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference builder: re-scores and re-sorts the whole pool after
+    /// each weight class, then sorts it fully. [`CodeBook::new`] must
+    /// reproduce it exactly, budget truncation included.
+    fn full_sort_codes(lines: u32, count: usize, cost: CostModel) -> Vec<u64> {
+        let mut pool: Vec<u64> = Vec::with_capacity(count * 2);
+        let mut weight = 0u32;
+        while weight <= lines {
+            CodeBook::push_weight_class(lines, weight, &mut pool, count);
+            if pool.len() >= count {
+                let mut costs: Vec<f64> =
+                    pool.iter().map(|&c| cost.vector_cost(c, lines)).collect();
+                costs.sort_by(|a, b| a.partial_cmp(b).expect("costs are finite"));
+                if f64::from(weight + 1) > costs[count - 1] {
+                    break;
+                }
+            }
+            weight += 1;
+        }
+        let mut scored: Vec<(f64, u64)> = pool
+            .into_iter()
+            .map(|c| (cost.vector_cost(c, lines), c))
+            .collect();
+        scored.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .expect("costs are finite")
+                .then(a.1.cmp(&b.1))
+        });
+        scored.into_iter().take(count).map(|(_, c)| c).collect()
+    }
+
+    const ORACLE_LAMBDAS: [f64; 8] = [0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 10.0, 100.0];
+    const ORACLE_COUNTS: [usize; 19] = [
+        1, 2, 3, 4, 5, 7, 9, 16, 17, 29, 33, 37, 65, 100, 129, 257, 513, 1025, 2000,
+    ];
+
+    fn fits(lines: u32, count: usize) -> bool {
+        lines >= 64 || (count as u128) <= (1u128 << lines)
+    }
+
+    #[test]
+    fn selection_build_equals_the_full_sort_builder() {
+        // One thread per λ: the oracle's repeated sorts are slow in an
+        // unoptimized build.
+        std::thread::scope(|scope| {
+            for lambda in ORACLE_LAMBDAS {
+                scope.spawn(move || {
+                    let cost = CostModel::new(lambda);
+                    for lines in 1..=64u32 {
+                        for count in ORACLE_COUNTS.into_iter().filter(|&c| fits(lines, c)) {
+                            assert_eq!(
+                                CodeBook::new(lines, count, cost).codes(),
+                                full_sort_codes(lines, count, cost),
+                                "lines={lines} lambda={lambda} count={count}"
+                            );
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn selection_build_equals_the_full_sort_builder_at_random(
+            lines in 1u32..=64,
+            lambda_bits in 0u64..=1 << 53,
+            count in 1usize..=2048,
+        ) {
+            prop_assume!(fits(lines, count));
+            // λ uniform on [0, 1000] at full `f64` resolution.
+            let cost = CostModel::new(lambda_bits as f64 / (1u64 << 53) as f64 * 1000.0);
+            prop_assert_eq!(
+                CodeBook::new(lines, count, cost).codes(),
+                full_sort_codes(lines, count, cost).as_slice()
+            );
+        }
+    }
 
     #[test]
     fn rank_zero_is_free() {
@@ -251,6 +357,11 @@ mod tests {
             assert_eq!(book.rank_of(c), Some(rank));
         }
         assert_eq!(book.rank_of(u64::MAX), None);
+        // A word that falls between codewords of the sorted index.
+        let outside = (0..u64::MAX)
+            .find(|c| !seen.contains(c))
+            .expect("a 34-line bus has more than 66 words");
+        assert_eq!(book.rank_of(outside), None);
         assert_eq!(book.len(), 66);
         assert!(!book.is_empty());
     }

@@ -25,7 +25,8 @@ use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
 use crate::predict::{
-    cam_find, rank_at, PredictiveDecoder, PredictiveEncoder, Predictor, Ring, ABSENT,
+    cam_find, predictive_codec, rank_at, PredictiveDecoder, PredictiveEncoder, Predictor, Ring,
+    ABSENT,
 };
 
 /// Configuration shared by both context-transcoder flavors.
@@ -404,17 +405,11 @@ pub fn context_value_codec(
     PredictiveEncoder<ValueContextPredictor>,
     PredictiveDecoder<ValueContextPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(
+    predictive_codec(
         config.width,
         ValueContextPredictor::new(&config),
         config.cost,
-    );
-    let dec = PredictiveDecoder::new(
-        config.width,
-        ValueContextPredictor::new(&config),
-        config.cost,
-    );
-    (enc, dec)
+    )
 }
 
 /// Builds a matched encoder/decoder pair for the transition-based
@@ -425,17 +420,11 @@ pub fn context_transition_codec(
     PredictiveEncoder<TransitionContextPredictor>,
     PredictiveDecoder<TransitionContextPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(
+    predictive_codec(
         config.width,
         TransitionContextPredictor::new(&config),
         config.cost,
-    );
-    let dec = PredictiveDecoder::new(
-        config.width,
-        TransitionContextPredictor::new(&config),
-        config.cost,
-    );
-    (enc, dec)
+    )
 }
 
 #[cfg(test)]

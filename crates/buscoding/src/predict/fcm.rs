@@ -17,7 +17,9 @@
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{rank_among, History, PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{
+    predictive_codec, rank_among, History, PredictiveDecoder, PredictiveEncoder, Predictor,
+};
 
 /// Configuration of the FCM/DFCM transcoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -204,9 +206,7 @@ pub fn fcm_codec(
     PredictiveEncoder<FcmPredictor>,
     PredictiveDecoder<FcmPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(config.width, FcmPredictor::new(&config), config.cost);
-    let dec = PredictiveDecoder::new(config.width, FcmPredictor::new(&config), config.cost);
-    (enc, dec)
+    predictive_codec(config.width, FcmPredictor::new(&config), config.cost)
 }
 
 #[cfg(test)]

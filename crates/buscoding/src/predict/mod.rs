@@ -334,6 +334,12 @@ impl<P: Predictor> EngineState<P> {
             );
         }
         let book = CodeBook::new(width.bits(), entries, cost);
+        Self::with_book(width, predictor, book)
+    }
+
+    /// Power-on state around an already built book, which must be the
+    /// one [`new`](Self::new) builds for the same arguments.
+    fn with_book(width: Width, predictor: P, book: CodeBook) -> Self {
         EngineState {
             width,
             predictor,
@@ -387,12 +393,31 @@ impl<P: Predictor> EngineState<P> {
     }
 }
 
+/// A matched encoder/decoder pair around `predictor`, each in its
+/// power-on state. The codebook is built once and the decoder gets a
+/// copy, so a pair costs one build rather than two.
+///
+/// # Panics
+///
+/// As [`PredictiveEncoder::new`].
+pub fn predictive_codec<P: Predictor + Clone>(
+    width: Width,
+    predictor: P,
+    cost: CostModel,
+) -> (PredictiveEncoder<P>, PredictiveDecoder<P>) {
+    let state = EngineState::new(width, predictor.clone(), cost);
+    let decoder = PredictiveDecoder {
+        state: EngineState::with_book(width, predictor, state.book.clone()),
+    };
+    (PredictiveEncoder::with_state(state), decoder)
+}
+
 /// The sending half of a prediction-based transcoder.
 ///
-/// Construct pairs with the scheme helpers ([`window_codec`],
-/// [`stride_codec`], [`context_value_codec`],
-/// [`context_transition_codec`]) or directly via [`PredictiveEncoder::new`]
-/// with any custom [`Predictor`].
+/// Construct pairs with [`predictive_codec`] or the scheme helpers
+/// ([`window_codec`], [`stride_codec`], [`context_value_codec`],
+/// [`context_transition_codec`], [`fcm_codec`]), or a single half via
+/// [`PredictiveEncoder::new`] with any custom [`Predictor`].
 #[derive(Debug, Clone)]
 pub struct PredictiveEncoder<P> {
     state: EngineState<P>,
@@ -413,7 +438,10 @@ impl<P: Predictor> PredictiveEncoder<P> {
     /// Panics if the bus (width + 2 control lines) exceeds 64 lines, or
     /// the predictor offers more candidates than the bus has codewords.
     pub fn new(width: Width, predictor: P, cost: CostModel) -> Self {
-        let state = EngineState::new(width, predictor, cost);
+        Self::with_state(EngineState::new(width, predictor, cost))
+    }
+
+    fn with_state(state: EngineState<P>) -> Self {
         let tally = vec![0; state.book.len() + 1];
         PredictiveEncoder {
             state,
@@ -681,11 +709,7 @@ mod tests {
         PredictiveEncoder<FixedPredictor>,
         PredictiveDecoder<FixedPredictor>,
     ) {
-        let cost = CostModel::default();
-        (
-            PredictiveEncoder::new(Width::W32, FixedPredictor { list: list.clone() }, cost),
-            PredictiveDecoder::new(Width::W32, FixedPredictor { list }, cost),
-        )
+        predictive_codec(Width::W32, FixedPredictor { list }, CostModel::default())
     }
 
     #[test]

@@ -9,7 +9,9 @@
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{rank_among, History, PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{
+    predictive_codec, rank_among, History, PredictiveDecoder, PredictiveEncoder, Predictor,
+};
 
 /// Configuration of a strided transcoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,17 +138,11 @@ pub fn stride_codec(
     PredictiveEncoder<StridePredictor>,
     PredictiveDecoder<StridePredictor>,
 ) {
-    let enc = PredictiveEncoder::new(
+    predictive_codec(
         config.width,
         StridePredictor::new(config.width, config.strides),
         config.cost,
-    );
-    let dec = PredictiveDecoder::new(
-        config.width,
-        StridePredictor::new(config.width, config.strides),
-        config.cost,
-    );
-    (enc, dec)
+    )
 }
 
 #[cfg(test)]

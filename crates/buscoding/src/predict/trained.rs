@@ -37,7 +37,7 @@ use bustrace::hash::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor};
 
 /// Artifact file magic.
 const MAGIC: [u8; 4] = *b"BTRN";
@@ -762,9 +762,7 @@ pub fn trained_codec(
     PredictiveEncoder<TrainedPredictor>,
     PredictiveDecoder<TrainedPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(tables.width, TrainedPredictor::new(Arc::clone(&tables)), cost);
-    let dec = PredictiveDecoder::new(tables.width, TrainedPredictor::new(tables), cost);
-    (enc, dec)
+    predictive_codec(tables.width, TrainedPredictor::new(tables), cost)
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@ use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
 use crate::predict::{
-    cam_find, rank_at, PredictiveDecoder, PredictiveEncoder, Predictor, Ring, ABSENT,
+    cam_find, predictive_codec, rank_at, PredictiveDecoder, PredictiveEncoder, Predictor, Ring,
+    ABSENT,
 };
 
 /// Configuration of a window-based transcoder.
@@ -145,17 +146,11 @@ pub fn window_codec(
     PredictiveEncoder<WindowPredictor>,
     PredictiveDecoder<WindowPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(
+    predictive_codec(
         config.width,
         WindowPredictor::new(config.entries),
         config.cost,
-    );
-    let dec = PredictiveDecoder::new(
-        config.width,
-        WindowPredictor::new(config.entries),
-        config.cost,
-    );
-    (enc, dec)
+    )
 }
 
 #[cfg(test)]

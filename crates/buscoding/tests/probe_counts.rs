@@ -4,15 +4,20 @@
 //! `buscoding.predict.*` once per block. After [`evaluate_blocks`], the
 //! hit/miss counters and the `hit_rank` histogram must equal what a
 //! per-word `encode` + `last_outcome()` loop counts on the same trace.
+//! A predictive encoder/decoder pair must also cost exactly one
+//! codebook build (`buscoding.codebook.builds`).
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use std::sync::Arc;
+
+use buscoding::predict::trained::{trained_codec, SignatureTable, TrainedTables};
 use buscoding::predict::{
     context_transition_codec, context_value_codec, fcm_codec, stride_codec, window_codec,
     ContextConfig, EncodeOutcome, FcmConfig, PredictiveEncoder, Predictor, StrideConfig,
     WindowConfig,
 };
-use buscoding::{evaluate_blocks, Encoder, BLOCK_WORDS};
+use buscoding::{evaluate_blocks, scheme_by_name, CostModel, Encoder, BLOCK_WORDS};
 use busprobe::MetricKind;
 use bustrace::{Trace, Width};
 
@@ -144,4 +149,55 @@ fn block_flushed_probes_equal_per_word_outcomes() {
         &trace,
     );
     check(fcm_codec(FcmConfig::new(w, 2, 12)).0, &trace);
+}
+
+/// The `buscoding.codebook.builds` counter after running `build` with
+/// probes on, from a zeroed registry.
+fn codebook_builds(build: impl FnOnce()) -> u64 {
+    busprobe::reset();
+    busprobe::set_enabled(true);
+    build();
+    busprobe::set_enabled(false);
+    busprobe::snapshot()
+        .into_iter()
+        .find_map(|m| match (m.name.as_str(), m.kind) {
+            ("buscoding.codebook.builds", MetricKind::Counter { value }) => Some(value),
+            _ => None,
+        })
+        .unwrap_or(0)
+}
+
+#[test]
+fn a_predictive_pair_builds_its_codebook_once() {
+    let _g = probe_lock();
+    for name in [
+        "window(8)",
+        "stride(4)",
+        "context-value(28+8 d4096)",
+        "context-transition(16+8 d4096)",
+        "fcm(2 2^12)",
+    ] {
+        let builds = codebook_builds(|| {
+            scheme_by_name(name, Width::W32).expect(name);
+        });
+        assert_eq!(builds, 1, "{name}");
+    }
+    // `trained:<name>` resolves an artifact on disk and then builds
+    // through `trained_codec`.
+    let tables = TrainedTables {
+        name: "pin".into(),
+        width: Width::W32,
+        trained_values: 1,
+        trained_traces: 1,
+        codebook: vec![1, 2, 3],
+        signatures: vec![SignatureTable {
+            order: 1,
+            entries: Vec::new(),
+        }],
+        strides: vec![4],
+    };
+    let builds = codebook_builds(|| {
+        trained_codec(Arc::new(tables), CostModel::default());
+    });
+    assert_eq!(builds, 1, "trained");
 }

@@ -148,7 +148,14 @@ impl std::error::Error for JsonError {}
 
 /// Parses a complete JSON document; trailing garbage is an error.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
+    parse_document::<true>(input)
+}
+
+/// [`parse`], with or without the integer fast path. Both parse every
+/// input to the same value or the same error; the tests use the parser
+/// without it as the oracle for the one with it.
+fn parse_document<const INT_FAST_PATH: bool>(input: &str) -> Result<JsonValue, JsonError> {
+    let mut p = Parser::<INT_FAST_PATH> {
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -161,12 +168,12 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     Ok(v)
 }
 
-struct Parser<'a> {
+struct Parser<'a, const INT_FAST_PATH: bool> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<const INT_FAST_PATH: bool> Parser<'_, INT_FAST_PATH> {
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -278,6 +285,9 @@ impl Parser<'_> {
     }
 
     fn number(&mut self) -> Result<JsonValue, JsonError> {
+        if let Some(i) = self.plain_int() {
+            return Ok(JsonValue::Int(i));
+        }
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -314,6 +324,33 @@ impl Parser<'_> {
             .map_err(|_| self.err(format!("bad number `{text}`")))
     }
 
+    /// Consumes a number that is a bare run of digits fitting `i64` —
+    /// the words of an inline trace — without going through `str`
+    /// parsing. Anything else (a sign, a fraction, an exponent, an
+    /// overflow, a value that is not a number) consumes nothing and
+    /// returns `None`, leaving it to the general path. Always `None`
+    /// without the fast path.
+    fn plain_int(&mut self) -> Option<i64> {
+        if !INT_FAST_PATH {
+            return None;
+        }
+        let rest = &self.bytes[self.pos..];
+        let mut value = 0i64;
+        let mut digits = 0;
+        for &b in rest {
+            if !b.is_ascii_digit() {
+                break;
+            }
+            value = value.checked_mul(10)?.checked_add(i64::from(b - b'0'))?;
+            digits += 1;
+        }
+        if digits == 0 || matches!(rest.get(digits), Some(b'.' | b'e' | b'E')) {
+            return None;
+        }
+        self.pos += digits;
+        Some(value)
+    }
+
     fn array(&mut self) -> Result<JsonValue, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
@@ -324,7 +361,13 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            // The words of an inline trace are plain integers; taking
+            // them here skips the general value dispatch.
+            let item = match self.plain_int() {
+                Some(i) => JsonValue::Int(i),
+                None => self.value()?,
+            };
+            items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -378,6 +421,7 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrips_nested_document() {
@@ -423,6 +467,95 @@ mod tests {
         let v = parse(r#""λ = 0.5 → κ""#).unwrap();
         assert_eq!(v.as_str(), Some("λ = 0.5 → κ"));
         assert_eq!(parse(&v.to_string()).unwrap(), v);
+    }
+
+    /// Number-ish fragments: single characters of the number grammar
+    /// and whitespace, plus runs at the edges of `i64`.
+    const FRAGMENTS: &[&str] = &[
+        "0",
+        "1",
+        "2",
+        "3",
+        "4",
+        "5",
+        "6",
+        "7",
+        "8",
+        "9",
+        "-",
+        "+",
+        ".",
+        "e",
+        "E",
+        " ",
+        "\t",
+        "\n",
+        "00",
+        "007",
+        "-0",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775808",
+        "18446744073709551615",
+        "1234567890123456789012345",
+    ];
+
+    fn numberish() -> impl Strategy<Value = String> {
+        prop::collection::vec(0..FRAGMENTS.len(), 0..8)
+            .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+    }
+
+    /// The parse with the integer fast path must equal the parse
+    /// without it: the same value, or the same error at the same
+    /// offset.
+    fn same_as_oracle(doc: &str) {
+        assert_eq!(parse(doc), parse_document::<false>(doc), "{doc:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn integer_fast_path_matches_the_general_number_path(
+            a in numberish(),
+            b in numberish(),
+            shape in 0usize..4,
+        ) {
+            let doc = match shape {
+                0 => a,
+                1 => format!("[{a}]"),
+                2 => format!("[{a},{b}]"),
+                _ => format!("{{\"k\":{a},\"l\":{b}}}"),
+            };
+            same_as_oracle(&doc);
+        }
+    }
+
+    #[test]
+    fn integer_fast_path_edges() {
+        for doc in [
+            "0",
+            "-0",
+            "007",
+            "9223372036854775807",
+            "9223372036854775808",
+            "18446744073709551615",
+            "1234567890123456789012345",
+            "[0,4294967295,12]",
+            "1.5",
+            "1e3",
+            "12-3",
+            "1.",
+            "1e",
+            "",
+        ] {
+            same_as_oracle(doc);
+        }
+        assert_eq!(parse("9223372036854775807"), Ok(JsonValue::Int(i64::MAX)));
+        assert_eq!(
+            parse("9223372036854775808"),
+            Ok(JsonValue::Num(9_223_372_036_854_775_808.0))
+        );
     }
 
     #[test]
